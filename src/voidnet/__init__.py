@@ -23,18 +23,16 @@ from .analytics import (
 )
 from .association import (
     AssociationOutcome,
-    MarkedBasestation,
     associate,
     associated_pattern,
     cell_count_pmf_mc,
     void_probability_mc,
 )
 from .channel import ChannelParams, WeightLaw, fractional_moment, gain_pdf, sample_gain, zeta_dagger
-from .coverage import CoverageConfig, coverage_probability, coverage_sweep, sir_at_typical_user
-from .geometry import Point2, SimulationWindow, distance, uniform_point
+from .coverage import CoverageConfig, coverage_sweep, sir_at_typical_user
+from .geometry import SimulationWindow, distance
 from .pointprocess import (
     PointPattern,
-    ScalingMark,
     csr_test,
     map_pattern,
     nearest_distance,
@@ -48,17 +46,13 @@ __all__ = [
     "CoverageConfig",
     "EstimateWithCI",
     "KFunctionEstimate",
-    "MarkedBasestation",
-    "Point2",
     "PointPattern",
-    "ScalingMark",
     "SimulationWindow",
     "WeightLaw",
     "associate",
     "associated_pattern",
     "cell_area_pdf",
     "cell_count_pmf_mc",
-    "coverage_probability",
     "coverage_sweep",
     "csr_test",
     "distance",
@@ -74,7 +68,6 @@ __all__ = [
     "sample_gain",
     "sample_ppp",
     "sir_at_typical_user",
-    "uniform_point",
     "user_count_pmf",
     "void_prob_bounds",
     "void_prob_nearest",

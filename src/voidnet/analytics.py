@@ -220,9 +220,3 @@ def mapped_intensity(intensity: float, mean_inverse_scale: float) -> float:
         raise ValueError("intensity must be >= 0 and the moment > 0")
     return intensity * mean_inverse_scale
 
-
-def void_intensity(lambda_b: float, void_probability: float) -> float:
-    """Expected density of base stations serving nobody."""
-    if not 0.0 <= void_probability <= 1.0:
-        raise ValueError("void probability must lie in [0, 1]")
-    return lambda_b * void_probability

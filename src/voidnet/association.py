@@ -13,7 +13,6 @@ across stations and replications.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ from scipy.spatial import cKDTree
 
 from .analytics import EstimateWithCI, pooled_fraction
 from .channel import NEAREST, ChannelParams, WeightLaw, sample_gain, zeta_dagger
-from .geometry import TOROIDAL, Point2, SimulationWindow, pairwise_distances
+from .geometry import SimulationWindow, pairwise_distances
 from .pointprocess import PointPattern, rep_rng, sample_ppp
 
 # Best-to-second-best criterion gap below which a user's association is
@@ -31,22 +30,6 @@ NEAR_TIE_RTOL = 0.01
 
 # Sequential stopping gives up after this many batches of replications.
 MAX_SEQUENTIAL_BATCHES = 16
-
-
-@dataclass(frozen=True)
-class MarkedBasestation:
-    """A base station with its association marks.
-
-    ``assoc_gains`` and ``assoc_weights`` hold the serving-link gains and
-    weights of the users in this station's cell (one per roster entry).
-    ``void`` is True exactly when the roster is empty.
-    """
-
-    position: Point2
-    assoc_weights: np.ndarray
-    assoc_gains: np.ndarray
-    void: bool
-    users: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -74,23 +57,6 @@ class AssociationOutcome:
         if int(np.sum(self.cell_counts == 0)) != self.void_count:
             raise ValueError("void count inconsistent with cell counts")
 
-    def to_user_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["user_id", "bs_id", "serving_distance"])
-            for u, (b, d) in enumerate(zip(self.assignments, self.serving_distance)):
-                writer.writerow([u, int(b), repr(float(d))])
-
-    def to_bs_csv(self, path, bs: PointPattern) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bs_id", "x", "y", "count", "void_flag"])
-            for i, (x, y) in enumerate(bs.points):
-                writer.writerow(
-                    [i, repr(float(x)), repr(float(y)), int(self.cell_counts[i]),
-                     int(self.cell_counts[i] == 0)]
-                )
-
 
 def associate(
     bs: PointPattern,
@@ -116,8 +82,7 @@ def associate(
         # Gains cancel out of the nearest criterion, so assignment is a
         # plain (periodic) nearest-neighbour query.
         if n_u:
-            boxsize = bs.window.side if bs.window.metric == TOROIDAL else None
-            tree = cKDTree(bs.points, boxsize=boxsize)
+            tree = cKDTree(bs.points, boxsize=bs.window.side)
             k = min(2, n_b)
             dd, ii = tree.query(users.points, k=k)
             dd = dd.reshape(n_u, k)
@@ -165,23 +130,6 @@ def associate(
         void_count=int(np.sum(cell_counts == 0)),
         near_tie_fraction=near_tie_fraction,
     )
-
-
-def marked_basestations(bs: PointPattern, outcome: AssociationOutcome) -> list[MarkedBasestation]:
-    """Per-station view of an association outcome (positions + marks)."""
-    stations = []
-    for i, (x, y) in enumerate(bs.points):
-        members = np.flatnonzero(outcome.assignments == i)
-        stations.append(
-            MarkedBasestation(
-                position=Point2(float(x), float(y)),
-                assoc_weights=outcome.serving_weight[members],
-                assoc_gains=outcome.serving_gain[members],
-                void=members.size == 0,
-                users=members,
-            )
-        )
-    return stations
 
 
 def associated_pattern(outcome: AssociationOutcome, bs: PointPattern) -> PointPattern:

@@ -17,8 +17,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
+from .coverage import MODELS
 from .harness import EXPERIMENTS, ConfigError, ExperimentConfig, run, validate
+
+
+def _float_list(text: str) -> list[float]:
+    return [float(x) for x in text.split(",")]
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -28,6 +34,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--ratio-grid",
         dest="ratio_grid",
+        type=_float_list,
         help="comma-separated user/station intensity ratios, e.g. 0.5,1,2,4,8",
     )
     parser.add_argument("--alpha", type=float, help="path-loss exponent (> 2, default 4)")
@@ -48,7 +55,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--beta", type=float, help="SIR threshold (coverage)")
     parser.add_argument(
         "--model",
-        choices=["all-bs", "void-aware", "thinned-ppp"],
+        choices=MODELS,
         help="interference model (coverage; default: all three)",
     )
     parser.add_argument("--reps", type=int, help="replications / suites (default: auto)")
@@ -59,7 +66,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", dest="fmt", choices=["csv", "json"], help="output format")
     parser.add_argument("--half-width", type=float, dest="half_width",
                         help="target 95%% CI half-width for auto reps; void-prob adds reps "
-                             "until it is met (default 0.005)")
+                             "until it is met, cell-pmf only sizes its fixed rep count "
+                             "from it (default 0.005)")
     parser.add_argument("--mark-law", dest="mark_law",
                         help="conservation-check marks: deterministic:T | lognormal:MU,S2 | channel")
     parser.add_argument("--grid", type=int, help="quadrat grid for CSR tests (default 5)")
@@ -85,16 +93,10 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         with open(args.config) as fh:
             values.update(json.load(fh))
-    for key in (
-        "lambda_b", "lambda_u", "alpha", "m", "mu", "sigma2_ln", "sigma_db", "sigma2_db",
-        "law", "beta", "model", "reps", "sets", "side", "seed", "out", "fmt",
-        "half_width", "mark_law", "grid", "n_envelope",
-    ):
-        value = getattr(args, key, None)
+    for f in fields(ExperimentConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            values[key] = value
-    if getattr(args, "ratio_grid", None) is not None:
-        values["ratio_grid"] = [float(x) for x in str(args.ratio_grid).split(",")]
+            values[f.name] = value
     if "side" in values and values["side"] != "auto":
         values["side"] = float(values["side"])
     experiment = args.command if args.command != "validate" else values.get("experiment", "void-prob")

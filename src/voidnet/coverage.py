@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import VORONOI_SHAPE, EstimateWithCI, void_prob_rca, wilson_interval
+from .analytics import VORONOI_SHAPE, void_prob_rca, wilson_interval
 from .association import associate
 from .channel import ChannelParams, WeightLaw, sample_gain, zeta_dagger
 from .geometry import SimulationWindow, distances_to_point
@@ -38,7 +38,6 @@ class CoverageConfig:
     law: WeightLaw
     model: str
     reps: int
-    fresh_serving_gain: bool = False
 
     def __post_init__(self) -> None:
         if self.beta <= 0:
@@ -55,10 +54,10 @@ class CoverageConfig:
 class SirRealization:
     """Everything needed to evaluate the typical user's SIR.
 
-    The serving gain is the one realized at association time unless the
-    caller redraws it; interferer gains are fresh i.i.d. draws.  The two
-    boolean masks select the transmitting subset per model, so the
-    void-aware interferer set is always a subset of the all-bs one.
+    The serving gain is the one realized at association time; interferer
+    gains are fresh i.i.d. draws.  The two boolean masks select the
+    transmitting subset per model, so the void-aware interferer set is
+    always a subset of the all-bs one.
     """
 
     alpha: float
@@ -110,14 +109,12 @@ def sample_realization(
     window: SimulationWindow,
     rng: np.random.Generator,
     keep_prob: float,
-    fresh_serving_gain: bool = False,
 ) -> tuple[SirRealization, float]:
     """One network draw seen from the typical user at the window centre.
 
     Returns the realization and the association near-tie fraction
     (window-adequacy diagnostic).  Draw order is fixed: stations, users,
-    association, fresh interferer gains, thinning retentions, then the
-    optional redrawn serving gain.
+    association, fresh interferer gains, then thinning retentions.
     """
     center = np.array([window.side / 2.0, window.side / 2.0])
     bs = sample_ppp(lambda_b, window, rng)
@@ -141,14 +138,11 @@ def sample_realization(
     other_dist = distances_to_point(bs.points[others], center, window)
     other_gains = np.asarray(sample_gain(cp, rng, size=len(others)), dtype=float).reshape(len(others))
     kept = rng.random(len(others)) < keep_prob
-    serving_gain = float(outcome.serving_gain[0])
-    if fresh_serving_gain:
-        serving_gain = float(sample_gain(cp, rng))
 
     realization = SirRealization(
         alpha=cp.alpha,
         serving_distance=float(outcome.serving_distance[0]),
-        serving_gain=serving_gain,
+        serving_gain=float(outcome.serving_gain[0]),
         interferer_distances=other_dist,
         interferer_gains=other_gains,
         interferer_nonvoid=outcome.cell_counts[others] > 0,
@@ -181,20 +175,11 @@ def sir_samples(
             window,
             rep_rng(seed, r),
             keep_prob,
-            cfg.fresh_serving_gain,
         )
         tie_fractions[r] = tie
         for m in models:
             sirs[m][r] = sir_at_typical_user(realization, m)
     return sirs, float(tie_fractions.mean())
-
-
-def coverage_probability(cfg: CoverageConfig, window: SimulationWindow, seed: int) -> EstimateWithCI:
-    """P[SIR >= beta] for the configured model, with a Wilson interval."""
-    sirs, _ = sir_samples(cfg, window, seed, models=(cfg.model,))
-    covered = float(np.mean(sirs[cfg.model] >= cfg.beta))
-    lo, hi = wilson_interval(covered, cfg.reps)
-    return EstimateWithCI(value=covered, ci_low=lo, ci_high=hi, reps=cfg.reps, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -223,7 +208,6 @@ def coverage_sweep(
     seed: int,
     window_fn,
     models: tuple[str, ...] = MODELS,
-    fresh_serving_gain: bool = False,
 ) -> list[CoverageRow]:
     """Coverage across a ratio grid, all models coupled per replication.
 
@@ -244,7 +228,6 @@ def coverage_sweep(
             law=law,
             model=models[0],
             reps=reps,
-            fresh_serving_gain=fresh_serving_gain,
         )
         sirs, tie = sir_samples(cfg, window, seed, models=models)
         for m in models:

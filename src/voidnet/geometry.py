@@ -2,85 +2,35 @@
 
 The infinite plane is modelled by a square window with a wrap-around
 (toroidal) metric, which keeps every point statistically equivalent and
-removes boundary bias from association and spatial statistics.  An
-alternative "euclidean-with-guard" metric is kept so second-order
-statistics can be cross-checked against a guard-region edge correction.
+removes boundary bias from association and spatial statistics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
-
-TOROIDAL = "toroidal"
-GUARD = "euclidean-with-guard"
-
-_METRICS = (TOROIDAL, GUARD)
-
-
-class Point2(NamedTuple):
-    """A planar location in km."""
-
-    x: float
-    y: float
 
 
 @dataclass(frozen=True)
 class SimulationWindow:
-    """Square window [0, side) x [0, side) standing in for the plane.
+    """Square torus [0, side) x [0, side) standing in for the plane.
 
     Parameters
     ----------
     side : float
-        Window side length in km, > 0.
-    metric : str
-        Either ``"toroidal"`` (default; distances wrap at the edges) or
-        ``"euclidean-with-guard"`` (plain distances; statistics are meant
-        to be read off the interior observation sub-window).
-    guard_fraction : float
-        Fraction of the side stripped from each edge to form the
-        observation sub-window.  Only meaningful with the guard metric.
+        Window side length in km, > 0.  Distances wrap at the edges.
     """
 
     side: float
-    metric: str = TOROIDAL
-    guard_fraction: float = 0.0
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.side) or self.side <= 0:
             raise ValueError(f"window side must be positive and finite, got {self.side}")
-        if self.metric not in _METRICS:
-            raise ValueError(f"unknown metric {self.metric!r}, expected one of {_METRICS}")
-        if not 0.0 <= self.guard_fraction < 0.5:
-            raise ValueError(f"guard_fraction must lie in [0, 0.5), got {self.guard_fraction}")
-
-    @property
-    def center(self) -> Point2:
-        return Point2(self.side / 2.0, self.side / 2.0)
-
-    def area(self) -> float:
-        """Area of the observation region.
-
-        The full square under the toroidal metric; the interior
-        sub-window once the guard strips are removed otherwise.
-        """
-        if self.metric == TOROIDAL:
-            return self.side * self.side
-        inner = (1.0 - 2.0 * self.guard_fraction) * self.side
-        return inner * inner
 
     def sampling_area(self) -> float:
         """Area of the full square over which points are generated."""
         return self.side * self.side
-
-    def observation_bounds(self) -> tuple[float, float]:
-        """(low, high) coordinate bounds of the observation region."""
-        if self.metric == TOROIDAL:
-            return 0.0, self.side
-        g = self.guard_fraction * self.side
-        return g, self.side - g
 
     def contains(self, points) -> bool:
         """True if every coordinate lies in [0, side)."""
@@ -102,20 +52,17 @@ def _as_xy(p) -> np.ndarray:
 
 
 def wrapped_deltas(points, origin, window: SimulationWindow) -> np.ndarray:
-    """Per-axis displacements from ``origin`` to ``points``.
+    """Per-axis displacements from ``origin`` to ``points`` on the torus.
 
-    Under the toroidal metric each axis difference d is reduced to the
-    shorter way around, i.e. |d| becomes min(|d|, side - |d|).
+    Each axis difference d is reduced to the shorter way around, i.e.
+    |d| becomes min(|d|, side - |d|).
     """
-    delta = _as_xy(points) - _as_xy(origin)
-    if window.metric == TOROIDAL:
-        s = window.side
-        delta = np.mod(delta + s / 2.0, s) - s / 2.0
-    return delta
+    s = window.side
+    return np.mod(_as_xy(points) - _as_xy(origin) + s / 2.0, s) - s / 2.0
 
 
 def distance(a, b, window: SimulationWindow) -> float:
-    """Distance between two points under the window's metric.
+    """Toroidal distance between two points.
 
     Toroidal distances are symmetric, satisfy the triangle inequality and
     are bounded by side * sqrt(2) / 2.
@@ -141,10 +88,7 @@ def pairwise_distances(points_a, points_b, window: SimulationWindow) -> np.ndarr
         a = a[None, :]
     if b.ndim == 1:
         b = b[None, :]
-    delta = a[:, None, :] - b[None, :, :]
-    if window.metric == TOROIDAL:
-        s = window.side
-        delta = np.mod(delta + s / 2.0, s) - s / 2.0
+    delta = wrapped_deltas(a[:, None, :], b[None, :, :], window)
     return np.sqrt(np.sum(delta * delta, axis=-1))
 
 
@@ -153,9 +97,3 @@ def uniform_points(window: SimulationWindow, n: int, rng: np.random.Generator) -
     if n < 0:
         raise ValueError("point count must be non-negative")
     return rng.uniform(0.0, window.side, size=(n, 2))
-
-
-def uniform_point(window: SimulationWindow, rng: np.random.Generator) -> Point2:
-    """A single uniform draw from the window."""
-    xy = uniform_points(window, 1, rng)[0]
-    return Point2(float(xy[0]), float(xy[1]))

@@ -211,15 +211,21 @@ def parse_mark_law(spec: str, cp: ChannelParams, law: WeightLaw):
     so the mapped intensity matches the transformed association process.
     """
     if spec.startswith("deterministic:"):
-        t = float(spec.split(":", 1)[1])
-        if t <= 0:
-            raise ConfigError([f"deterministic mark must be > 0, got {t}"])
+        try:
+            t = float(spec.split(":", 1)[1])
+        except ValueError:
+            raise ConfigError([f"bad deterministic mark spec {spec!r}; expected deterministic:T"])
+        if not (math.isfinite(t) and t > 0):
+            raise ConfigError([f"deterministic mark must be finite and > 0, got {t}"])
         return (lambda rng, n: np.full(n, t)), 1.0 / (t * t), spec
     if spec.startswith("lognormal:"):
-        mu_s, s2_s = spec.split(":", 1)[1].split(",")
-        mu_t, s2_t = float(mu_s), float(s2_s)
-        if s2_t < 0:
-            raise ConfigError(["lognormal mark variance must be >= 0"])
+        try:
+            mu_s, s2_s = spec.split(":", 1)[1].split(",")
+            mu_t, s2_t = float(mu_s), float(s2_s)
+        except ValueError:
+            raise ConfigError([f"bad lognormal mark spec {spec!r}; expected lognormal:MU,SIGMA2"])
+        if not (math.isfinite(mu_t) and math.isfinite(s2_t) and s2_t >= 0):
+            raise ConfigError(["lognormal mark needs a finite mean and a finite variance >= 0"])
         sampler = lambda rng, n: np.exp(rng.normal(mu_t, math.sqrt(s2_t), size=n))
         return sampler, math.exp(-2.0 * mu_t + 2.0 * s2_t), spec
     if spec == "channel":
@@ -274,8 +280,12 @@ def validate(config: ExperimentConfig) -> list[str]:
                 f"warning: zeta-dagger divergent: m <= 2/alpha ({config.m} <= {2.0 / config.alpha:.4f}); "
                 "closed-form overlays reduce to the lower bound"
             )
+        cp = ChannelParams(m=config.m, mu=config.mu, sigma2=sigma2, alpha=config.alpha)
+        parse_mark_law(config.mark_law, cp, law)
     except ConfigError as exc:
         diags.extend(exc.diagnostics)
+    except ValueError:
+        pass  # a bad channel is reported above; the mark law is checked once it is fixed
     if config.beta <= 0:
         diags.append("SIR threshold beta must be > 0")
     if config.model is not None and config.model not in MODELS:
@@ -286,6 +296,8 @@ def validate(config: ExperimentConfig) -> list[str]:
         diags.append("reps must be >= 1")
     if config.grid < 2:
         diags.append("quadrat grid must be >= 2")
+    if config.n_envelope < 39:
+        diags.append("n_envelope must be >= 39 for a 95% envelope")
     if config.side != "auto":
         try:
             side = float(config.side)
@@ -609,6 +621,7 @@ _BODIES = {
 
 
 def _format_value(v):
+    """CSV text of a value: floats as their exact ``repr``."""
     if isinstance(v, (np.floating,)):
         return repr(float(v))
     if isinstance(v, float):
@@ -631,13 +644,17 @@ def _metadata(config: ExperimentConfig, extra: dict) -> dict:
     return meta
 
 
+def _json_number(v):
+    """Python number for a numpy scalar, which ``json`` cannot encode."""
+    if isinstance(v, np.generic):
+        return v.item()
+    raise TypeError(f"{type(v).__name__} is not JSON serializable")
+
+
 def write_rows(path: Path, fmt: str, rows: list[dict], metadata: dict) -> None:
     if fmt == "json":
-        payload = {
-            "metadata": {k: _format_value(v) for k, v in metadata.items()},
-            "rows": [{k: _format_value(v) for k, v in row.items()} for row in rows],
-        }
-        path.write_text(json.dumps(payload, indent=2) + "\n")
+        payload = {"metadata": metadata, "rows": rows}
+        path.write_text(json.dumps(payload, indent=2, default=_json_number) + "\n")
         return
     with open(path, "w", newline="") as fh:
         for k, v in metadata.items():

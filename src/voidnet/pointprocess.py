@@ -2,16 +2,14 @@
 
 Implements sampling of homogeneous PPPs on a window, the per-point random
 scaling map (each point is scaled about the window centre by its own
-i.i.d. positive mark, which turns an intensity-lambda PPP into one of
-intensity lambda * E[1/T^2]), nearest-point distances, and a quadrat-count
-chi-square test of complete spatial randomness.
+i.i.d. positive scale factor, which turns an intensity-lambda PPP into one
+of intensity lambda * E[1/T^2]), nearest-point distances, and a
+quadrat-count chi-square test of complete spatial randomness.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import stats
@@ -26,12 +24,6 @@ def rep_rng(seed: int, index: int) -> np.random.Generator:
     scheduled across workers, which keeps every experiment bit-reproducible.
     """
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-
-
-class ScalingMark(NamedTuple):
-    """Positive per-point scale factor used by :func:`map_pattern`."""
-
-    t: float
 
 
 @dataclass(frozen=True)
@@ -65,17 +57,6 @@ class PointPattern:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def empirical_intensity(self) -> float:
-        return len(self) / self.window.sampling_area()
-
-    def to_csv(self, path) -> None:
-        """Write one ``x,y`` row per point (for external plotting)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y"])
-            for x, y in self.points:
-                writer.writerow([repr(float(x)), repr(float(y))])
-
 
 def sample_ppp(intensity: float, window: SimulationWindow, rng: np.random.Generator) -> PointPattern:
     """Draw a homogeneous PPP on the window.
@@ -90,21 +71,9 @@ def sample_ppp(intensity: float, window: SimulationWindow, rng: np.random.Genera
     return PointPattern(points=pts, window=window, intensity_declared=float(intensity))
 
 
-def _marks_as_array(marks) -> np.ndarray:
-    if isinstance(marks, np.ndarray):
-        arr = marks.astype(float)
-    else:
-        seq = list(marks)
-        if seq and isinstance(seq[0], ScalingMark):
-            arr = np.asarray([m.t for m in seq], dtype=float)
-        else:
-            arr = np.asarray(seq, dtype=float)
-    return np.atleast_1d(arr)
-
-
 def map_pattern(
     pattern: PointPattern,
-    marks: Sequence[ScalingMark] | np.ndarray,
+    marks: np.ndarray,
     target: SimulationWindow | None = None,
     mean_inverse_square: float | None = None,
 ) -> PointPattern:
@@ -126,7 +95,7 @@ def map_pattern(
     ``mean_inverse_square`` supplies E[1/T^2] for the declared output
     intensity; when omitted, the realized mean of 1/t_i^2 is used instead.
     """
-    t = _marks_as_array(marks)
+    t = np.atleast_1d(np.asarray(marks, dtype=float))
     if len(t) != len(pattern):
         raise ValueError(f"need one mark per point: {len(t)} marks for {len(pattern)} points")
     if len(t) and (not np.all(np.isfinite(t)) or np.any(t <= 0)):

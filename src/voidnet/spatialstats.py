@@ -14,7 +14,7 @@ import numpy as np
 from .analytics import pooled_fraction
 from .association import associate, associated_pattern
 from .channel import ChannelParams, WeightLaw
-from .geometry import TOROIDAL, SimulationWindow, pairwise_distances
+from .geometry import SimulationWindow, pairwise_distances
 from .pointprocess import PointPattern, rep_rng, sample_ppp
 
 # Beyond side/4 the wrap-around starts to distort K; envelope-based
@@ -26,13 +26,10 @@ MIN_POINTS = 10
 
 @dataclass(frozen=True)
 class KFunctionEstimate:
-    """K-function values, optionally with a CSR Monte-Carlo envelope."""
+    """K-function values at a set of radii."""
 
     radii: np.ndarray
     k_hat: np.ndarray
-    envelope_low: np.ndarray | None = None
-    envelope_high: np.ndarray | None = None
-    n_envelope: int = 0
 
     def __post_init__(self) -> None:
         r = np.asarray(self.radii, dtype=float)
@@ -62,8 +59,6 @@ def ripley_k(pattern: PointPattern, radii) -> KFunctionEstimate:
     radii above side/4; at the maximum toroidal distance K_hat saturates
     at exactly the window area.
     """
-    if pattern.window.metric != TOROIDAL:
-        raise ValueError("K estimation needs the toroidal metric for edge correction")
     n = len(pattern)
     if n < MIN_POINTS:
         raise ValueError(f"pattern has {n} points; need at least {MIN_POINTS}")
@@ -83,19 +78,15 @@ def ppp_envelope(
     radii,
     n_envelope: int = 99,
     seed: int = 0,
-    method: str = "percentile",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise CSR envelope of K_hat at matched intensity.
 
-    ``method="percentile"`` takes the 2.5/97.5 percentiles over
-    ``n_envelope`` fresh PPP realizations (about a 5% pointwise exit rate
-    for a true PPP); ``method="minmax"`` takes the extremes.  At least 39
-    realizations are required for a 95% envelope to make sense.
+    Takes the 2.5/97.5 percentiles over ``n_envelope`` fresh PPP
+    realizations (about a 5% pointwise exit rate for a true PPP).  At
+    least 39 realizations are required for a 95% envelope to make sense.
     """
     if n_envelope < 39:
         raise ValueError("need at least 39 envelope simulations for a 95% envelope")
-    if method not in ("percentile", "minmax"):
-        raise ValueError(f"unknown envelope method {method!r}")
     r = np.atleast_1d(np.asarray(radii, dtype=float))
     if r.max() > window.side * MAX_RADIUS_FRACTION + 1e-12:
         raise ValueError("envelope radii must stay at or below side/4")
@@ -112,8 +103,6 @@ def ppp_envelope(
             pattern = sample_ppp(intensity, window, rng)
         k_sims[i] = ripley_k(pattern, r).k_hat
 
-    if method == "minmax":
-        return k_sims.min(axis=0), k_sims.max(axis=0)
     return np.percentile(k_sims, 2.5, axis=0), np.percentile(k_sims, 97.5, axis=0)
 
 
@@ -133,7 +122,6 @@ class Remark2Report:
     per_radius_exit_rate: np.ndarray
     per_radius_low_rate: np.ndarray
     per_radius_high_rate: np.ndarray
-    exit_radii: np.ndarray
     k_hat_mean: np.ndarray
     envelope_low: np.ndarray
     envelope_high: np.ndarray
@@ -201,14 +189,12 @@ def remark2_test(
         above[i] = k_hat > hi
 
     exits = below | above
-    per_radius = exits.mean(axis=0)
     return Remark2Report(
         radii=r,
         exit_fraction=float(exits.mean()),
-        per_radius_exit_rate=per_radius,
+        per_radius_exit_rate=exits.mean(axis=0),
         per_radius_low_rate=below.mean(axis=0),
         per_radius_high_rate=above.mean(axis=0),
-        exit_radii=r[per_radius > 0.5],
         k_hat_mean=k_all.mean(axis=0),
         envelope_low=lo,
         envelope_high=hi,

@@ -13,7 +13,6 @@ from voidnet.analytics import (
     pooled_fraction,
     rho_strongest_power,
     user_count_pmf,
-    void_intensity,
     void_prob_bounds,
     void_prob_nearest,
     void_prob_rca,
@@ -248,8 +247,3 @@ class TestEstimateMachinery:
         clustered_v = np.where(rng.random(50) < 0.3, 100, 0)
         _, lo2, hi2 = pooled_fraction(clustered_v, np.full(50, 100))
         assert (hi2 - lo2) > (hi1 - lo1)
-
-    def test_void_intensity(self):
-        assert void_intensity(100.0, 0.2) == pytest.approx(20.0)
-        with pytest.raises(ValueError):
-            void_intensity(100.0, 1.5)

@@ -8,7 +8,6 @@ from voidnet.association import (
     associate,
     associated_pattern,
     cell_count_pmf_mc,
-    marked_basestations,
     void_probability_mc,
 )
 from voidnet.channel import ChannelParams, WeightLaw
@@ -98,30 +97,6 @@ class TestAssociate:
         out = associate(bs, users, RAYLEIGH, WeightLaw.unit(), np.random.default_rng(8))
         assert out.assignments[0] == 0
         assert out.serving_distance[0] == 0.0
-
-    def test_marked_view_partitions_users(self):
-        rng = rep_rng(9, 0)
-        bs = sample_ppp(2.0, WINDOW, rng)
-        users = sample_ppp(4.0, WINDOW, rng)
-        out = associate(bs, users, RAYLEIGH, WeightLaw.unit(), rng)
-        stations = marked_basestations(bs, out)
-        all_users = np.sort(np.concatenate([s.users for s in stations]))
-        assert np.array_equal(all_users, np.arange(len(users)))
-        for s in stations:
-            assert s.void == (len(s.users) == 0)
-            assert len(s.assoc_gains) == len(s.users)
-            assert len(s.assoc_weights) == len(s.users)
-
-    def test_csv_outputs(self, tmp_path):
-        rng = rep_rng(10, 0)
-        bs = sample_ppp(2.0, WINDOW, rng)
-        users = sample_ppp(3.0, WINDOW, rng)
-        out = associate(bs, users, RAYLEIGH, WeightLaw.nearest(), rng)
-        upath, bpath = tmp_path / "users.csv", tmp_path / "stations.csv"
-        out.to_user_csv(upath)
-        out.to_bs_csv(bpath, bs)
-        assert len(upath.read_text().strip().splitlines()) == len(users) + 1
-        assert len(bpath.read_text().strip().splitlines()) == len(bs) + 1
 
 
 class TestVoidProbabilityMc:

@@ -3,13 +3,10 @@ import pytest
 from scipy import stats
 
 from voidnet.geometry import (
-    GUARD,
-    Point2,
     SimulationWindow,
     distance,
     distances_to_point,
     pairwise_distances,
-    uniform_point,
     uniform_points,
 )
 
@@ -53,10 +50,6 @@ class TestDistance:
         d = pairwise_distances(pts, pts, torus10)
         assert d.max() <= 10.0 * np.sqrt(2.0) / 2.0 + 1e-12
 
-    def test_guard_metric_is_euclidean(self):
-        w = SimulationWindow(side=10.0, metric=GUARD, guard_fraction=0.1)
-        assert distance((0.0, 0.0), (9.0, 0.0), w) == pytest.approx(9.0)
-
     def test_distances_to_point_matches_scalar(self, torus10):
         rng = np.random.default_rng(5)
         pts = rng.uniform(0, 10, (50, 2))
@@ -68,30 +61,12 @@ class TestDistance:
 
 class TestWindow:
     def test_toroidal_area(self, torus10):
-        assert torus10.area() == 100.0
         assert torus10.sampling_area() == 100.0
-
-    def test_guard_area(self):
-        w = SimulationWindow(side=10.0, metric=GUARD, guard_fraction=0.1)
-        assert w.area() == pytest.approx((0.8 * 10.0) ** 2)
-        assert w.sampling_area() == 100.0
-        assert w.observation_bounds() == (1.0, 9.0)
-
-    def test_center(self, torus10):
-        assert torus10.center == Point2(5.0, 5.0)
 
     @pytest.mark.parametrize("side", [0.0, -1.0, np.inf, np.nan])
     def test_bad_side_rejected(self, side):
         with pytest.raises(ValueError):
             SimulationWindow(side=side)
-
-    def test_bad_guard_fraction(self):
-        with pytest.raises(ValueError):
-            SimulationWindow(side=1.0, metric=GUARD, guard_fraction=0.5)
-
-    def test_bad_metric(self):
-        with pytest.raises(ValueError):
-            SimulationWindow(side=1.0, metric="spherical")
 
     def test_wrap_into_window(self, torus10):
         wrapped = torus10.wrap(np.array([[10.5, -0.5]]))
@@ -104,8 +79,6 @@ class TestUniformSampling:
         pts = uniform_points(torus10, 1000, rng)
         assert pts.shape == (1000, 2)
         assert np.all(pts >= 0.0) and np.all(pts < 10.0)
-        p = uniform_point(torus10, rng)
-        assert 0.0 <= p.x < 10.0 and 0.0 <= p.y < 10.0
 
     def test_mean_clt(self, torus10):
         rng = np.random.default_rng(7)

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import math
 
@@ -6,7 +8,7 @@ import pytest
 
 from voidnet import harness
 from voidnet.analytics import EstimateWithCI
-from voidnet.cli import main as cli_main
+from voidnet.cli import _build_parser, main as cli_main
 from voidnet.harness import (
     ConfigError,
     ExperimentConfig,
@@ -102,8 +104,10 @@ class TestParsers:
         assert m2 == pytest.approx(math.exp(0.5))
         sampler3, m3, _ = parse_mark_law("channel", cp, law)
         assert m3 == 1.0  # nearest law: WH = 1
-        with pytest.raises(ConfigError):
-            parse_mark_law("cauchy", cp, law)
+        for bad in ("cauchy", "lognormal:0", "lognormal:a,b", "lognormal:0,nan",
+                    "deterministic:abc", "deterministic:inf"):
+            with pytest.raises(ConfigError):
+                parse_mark_law(bad, cp, law)
 
     def test_unknown_config_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -162,6 +166,8 @@ class TestRunExperiments:
         payload = json.loads(out.read_text())
         assert "metadata" in payload and len(payload["rows"]) == 2
         assert payload["metadata"]["config.experiment"] == "formulas"
+        assert isinstance(payload["metadata"]["config.alpha"], float)
+        assert isinstance(payload["rows"][0]["p_void_rca"], float)
 
     def test_fatal_config_refuses_to_run(self, tmp_path):
         cfg = ExperimentConfig(experiment="void-prob", lambda_b=0.0, out=str(tmp_path / "x.csv"))
@@ -213,6 +219,26 @@ class TestCli:
     def test_validate_fatal_exit_two(self, capsys):
         code = cli_main(["validate", "--lambda-b", "0"])
         assert code == 2
+
+    def test_validate_rejects_malformed_mark_law(self, capsys):
+        assert cli_main(["validate", "--mark-law", "lognormal:0"]) == 2
+        assert "configuration ok" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["remark2", "--n-envelope", "10"],
+        ["conservation-check", "--mark-law", "deterministic:abc"],
+    ], ids=["remark2-n-envelope", "conservation-mark-law"])
+    def test_config_errors_exit_two(self, argv, tmp_path, capsys):
+        assert cli_main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_every_config_field_has_a_flag(self):
+        subparsers = next(a for a in _build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        wanted = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"experiment"}
+        for name, sub in subparsers.choices.items():
+            dests = {a.dest for a in sub._actions}
+            assert wanted <= dests, f"{name} lacks flags for {sorted(wanted - dests)}"
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"

@@ -5,7 +5,6 @@ from scipy import stats
 from voidnet.geometry import SimulationWindow, distances_to_point
 from voidnet.pointprocess import (
     PointPattern,
-    ScalingMark,
     csr_test,
     map_pattern,
     mark_expansion_factor,
@@ -46,14 +45,6 @@ class TestSamplePpp:
         corr = np.corrcoef(left, right)[0, 1]
         assert abs(corr) < 3.0 / np.sqrt(reps)
 
-    def test_pattern_csv(self, tmp_path):
-        p = sample_ppp(50.0, UNIT_WINDOW, np.random.default_rng(1))
-        path = tmp_path / "pattern.csv"
-        p.to_csv(path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "x,y"
-        assert len(rows) == len(p) + 1
-
     def test_points_outside_window_rejected(self):
         with pytest.raises(ValueError):
             PointPattern(points=np.array([[1.5, 0.5]]), window=UNIT_WINDOW, intensity_declared=1.0)
@@ -69,7 +60,7 @@ class TestMapPattern:
     def test_scaling_mark_objects_accepted(self):
         p = PointPattern(points=np.array([[0.25, 0.25], [0.75, 0.75]]),
                          window=UNIT_WINDOW, intensity_declared=2.0)
-        mapped = map_pattern(p, [ScalingMark(1.0), ScalingMark(1.0)])
+        mapped = map_pattern(p, np.array([1.0, 1.0]))
         assert np.array_equal(mapped.points, p.points)
 
     def test_deterministic_two_declares_quarter_intensity(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from voidnet.channel import ChannelParams, WeightLaw
-from voidnet.geometry import GUARD, SimulationWindow
+from voidnet.geometry import SimulationWindow
 from voidnet.pointprocess import PointPattern, rep_rng, sample_ppp
 from voidnet.spatialstats import (
     KFunctionEstimate,
@@ -41,7 +41,7 @@ class TestRipleyK:
         p = pattern(pts)
         n = len(pts)
         k = ripley_k(p, [1e-9]).k_hat[0]
-        assert k == pytest.approx(UNIT.area() * 2.0 / (n * (n - 1)))
+        assert k == pytest.approx(UNIT.sampling_area() * 2.0 / (n * (n - 1)))
 
     def test_hard_core_zero_below_separation(self):
         g = np.linspace(0.125, 0.875, 4)
@@ -53,7 +53,7 @@ class TestRipleyK:
     def test_saturation_at_max_distance(self):
         p = sample_ppp(100.0, UNIT, np.random.default_rng(22))
         k = ripley_k(p, [UNIT.side * math.sqrt(2.0) / 2.0]).k_hat[0]
-        assert k == pytest.approx(UNIT.area())
+        assert k == pytest.approx(UNIT.sampling_area())
 
     def test_translation_invariance(self):
         p = sample_ppp(150.0, UNIT, np.random.default_rng(23))
@@ -63,12 +63,6 @@ class TestRipleyK:
 
     def test_too_few_points_rejected(self):
         p = pattern([[0.1, 0.1], [0.2, 0.2]])
-        with pytest.raises(ValueError):
-            ripley_k(p, [0.1])
-
-    def test_guard_window_rejected(self):
-        w = SimulationWindow(side=1.0, metric=GUARD, guard_fraction=0.1)
-        p = sample_ppp(100.0, w, np.random.default_rng(24))
         with pytest.raises(ValueError):
             ripley_k(p, [0.1])
 
@@ -88,7 +82,7 @@ class TestRipleyK:
             k_tor += ripley_k(p, radii).k_hat
             pts = p.points
             interior = np.all((pts >= 0.1) & (pts <= 0.9), axis=1)
-            lam_hat = len(pts) / UNIT.area()
+            lam_hat = len(pts) / UNIT.sampling_area()
             diffs = pts[interior, None, :] - pts[None, :, :]
             d = np.sqrt((diffs**2).sum(-1))
             # each interior point contributes its self-distance 0 once
@@ -131,12 +125,6 @@ class TestPppEnvelope:
     def test_radius_cap(self):
         with pytest.raises(ValueError):
             ppp_envelope(200.0, UNIT, [0.3], n_envelope=99, seed=32)
-
-    def test_minmax_method(self):
-        radii = np.array([0.1, 0.2])
-        lo_p, hi_p = ppp_envelope(300.0, UNIT, radii, n_envelope=99, seed=33)
-        lo_m, hi_m = ppp_envelope(300.0, UNIT, radii, n_envelope=99, seed=33, method="minmax")
-        assert np.all(lo_m <= lo_p) and np.all(hi_p <= hi_m)
 
 
 class TestRemark2:
