@@ -22,14 +22,11 @@ from scipy.spatial import cKDTree
 from .analytics import EstimateWithCI, pooled_fraction
 from .channel import NEAREST, ChannelParams, WeightLaw, sample_gain, zeta_dagger
 from .geometry import SimulationWindow, pairwise_distances
-from .pointprocess import PointPattern, rep_rng, sample_ppp
+from .pointprocess import PointPattern, run_reps, sample_ppp
 
 # Best-to-second-best criterion gap below which a user's association is
 # considered ambiguous; a high fraction flags an undersized window.
 NEAR_TIE_RTOL = 0.01
-
-# Sequential stopping gives up after this many batches of replications.
-MAX_SEQUENTIAL_BATCHES = 16
 
 
 @dataclass(frozen=True)
@@ -147,16 +144,6 @@ def associated_pattern(outcome: AssociationOutcome, bs: PointPattern) -> PointPa
     )
 
 
-def _warn_if_divergent(cp: ChannelParams, law: WeightLaw) -> None:
-    if np.isinf(zeta_dagger(cp, law)):
-        warnings.warn(
-            "moment product E[(WH)^(2/a)]E[(WH)^(-2/a)] diverges (m <= 2/alpha); "
-            "closed-form void expressions are inapplicable, only the "
-            "exp(-lambda_u/lambda_b) lower bound remains",
-            stacklevel=3,
-        )
-
-
 def _replication_cells(
     lambda_b: float,
     lambda_u: float,
@@ -178,6 +165,51 @@ def _replication_cells(
     return outcome.cell_counts
 
 
+def _void_estimate(hists: list[np.ndarray], seed: int) -> EstimateWithCI:
+    """Pooled void fraction of per-replication user-count histograms."""
+    p_hat, lo, hi = pooled_fraction([h[0] for h in hists], [h.sum() for h in hists])
+    return EstimateWithCI(value=p_hat, ci_low=lo, ci_high=hi, reps=len(hists), seed=seed)
+
+
+def _cell_histograms(
+    lambda_b: float,
+    lambda_u: float,
+    cp: ChannelParams,
+    law: WeightLaw,
+    reps: int,
+    window: SimulationWindow,
+    seed: int,
+    half_width: float | None,
+) -> list[np.ndarray]:
+    """Per-replication histograms ``h``, ``h[n]`` = stations serving n users.
+
+    The one draw and stopping path of :func:`void_probability_mc` and
+    :func:`cell_count_pmf_mc`; a ``half_width`` target applies to the
+    pooled void fraction, bin 0 over the sum.
+    """
+    if reps < 1:
+        raise ValueError("need at least one replication")
+    if lambda_b <= 0:
+        raise ValueError("lambda_b must be > 0")
+    if half_width is not None and not half_width > 0:
+        raise ValueError(f"half_width must be > 0, got {half_width}")
+    if np.isinf(zeta_dagger(cp, law)):
+        warnings.warn(
+            "moment product E[(WH)^(2/a)]E[(WH)^(-2/a)] diverges (m <= 2/alpha); "
+            "closed-form void expressions are inapplicable, only the "
+            "exp(-lambda_u/lambda_b) lower bound remains",
+            stacklevel=3,
+        )
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        counts = _replication_cells(lambda_b, lambda_u, cp, law, window, rng)
+        return np.bincount(counts, minlength=1)
+
+    if half_width is None:
+        return run_reps(draw, seed, reps)
+    return run_reps(draw, seed, reps, lambda h: _void_estimate(h, seed).half_width <= half_width)
+
+
 def void_probability_mc(
     lambda_b: float,
     lambda_u: float,
@@ -194,36 +226,13 @@ def void_probability_mc(
     interval accounts for within-replication correlation by treating each
     replication as a cluster (see :func:`voidnet.analytics.pooled_fraction`).
 
-    With ``half_width`` set, the run is a fixed-width sequential procedure
-    (Chow & Robbins 1965): after the first ``reps`` replications, further
-    batches of ``reps`` replications continue on the ``rep_rng(seed, r)``
-    streams until the 95% half-width is at most ``half_width``.  The
-    result's ``reps`` is the realized count, and a run that meets the
-    target in its first batch is identical to the fixed-``reps`` run.
-    Raises :class:`RuntimeError` if the target is still missed after
-    ``MAX_SEQUENTIAL_BATCHES`` batches.
+    With ``half_width`` set, batches of ``reps`` replications are added
+    until the 95% half-width is at most ``half_width`` (the sequential
+    rule of :func:`voidnet.pointprocess.run_reps`); the result's ``reps``
+    is the realized count.
     """
-    if reps < 1:
-        raise ValueError("need at least one replication")
-    if lambda_b <= 0:
-        raise ValueError("lambda_b must be > 0")
-    if half_width is not None and not half_width > 0:
-        raise ValueError(f"half_width must be > 0, got {half_width}")
-    _warn_if_divergent(cp, law)
-    voids: list[int] = []
-    cells: list[int] = []
-    for batch in range(MAX_SEQUENTIAL_BATCHES):
-        for r in range(batch * reps, (batch + 1) * reps):
-            counts = _replication_cells(lambda_b, lambda_u, cp, law, window, rep_rng(seed, r))
-            voids.append(int(np.sum(counts == 0)))
-            cells.append(len(counts))
-        p_hat, lo, hi = pooled_fraction(voids, cells)
-        if half_width is None or (hi - lo) / 2.0 <= half_width:
-            return EstimateWithCI(value=p_hat, ci_low=lo, ci_high=hi, reps=len(voids), seed=seed)
-    raise RuntimeError(
-        f"95% half-width {(hi - lo) / 2.0:.3g} still above {half_width} after "
-        f"{len(voids)} replications"
-    )
+    hists = _cell_histograms(lambda_b, lambda_u, cp, law, reps, window, seed, half_width)
+    return _void_estimate(hists, seed)
 
 
 @dataclass(frozen=True)
@@ -247,48 +256,29 @@ def cell_count_pmf_mc(
     reps: int,
     window: SimulationWindow,
     seed: int,
+    half_width: float | None = None,
 ) -> CellCountPmf:
     """Empirical pmf of the number of users in a cell.
 
-    Shares the replication streams of :func:`void_probability_mc`, so the
-    n = 0 bin reproduces that estimate exactly for the same seed.
+    Shares the replication streams and the sequential ``half_width`` rule
+    of :func:`void_probability_mc` (the target applies to the n = 0 bin),
+    so that bin reproduces its estimate exactly for the same arguments.
     """
-    if reps < 1:
-        raise ValueError("need at least one replication")
-    if lambda_b <= 0:
-        raise ValueError("lambda_b must be > 0")
-    _warn_if_divergent(cp, law)
-    per_rep_counts = []
-    n_max = 0
-    for r in range(reps):
-        counts = _replication_cells(lambda_b, lambda_u, cp, law, window, rep_rng(seed, r))
-        per_rep_counts.append(counts)
-        if len(counts):
-            n_max = max(n_max, int(counts.max()))
-
-    hist = np.zeros((reps, n_max + 1))
-    cells = np.zeros(reps)
-    total_users = 0.0
-    for r, counts in enumerate(per_rep_counts):
-        cells[r] = len(counts)
-        total_users += counts.sum()
-        if len(counts):
-            hist[r] = np.bincount(counts, minlength=n_max + 1)
-
+    hists = _cell_histograms(lambda_b, lambda_u, cp, law, reps, window, seed, half_width)
+    width = max(len(h) for h in hists)
+    hist = np.array([np.pad(h, (0, width - len(h))) for h in hists], dtype=float)
+    cells = hist.sum(axis=1)
     total_cells = cells.sum()
     if total_cells == 0:
         raise RuntimeError("no cells simulated; window too small for lambda_b")
-    pmf = np.empty(n_max + 1)
-    lo = np.empty(n_max + 1)
-    hi = np.empty(n_max + 1)
-    for n in range(n_max + 1):
-        pmf[n], lo[n], hi[n] = pooled_fraction(hist[:, n], cells)
+    n_values = np.arange(hist.shape[1])
+    pmf, lo, hi = np.array([pooled_fraction(hist[:, n], cells) for n in n_values]).T
     return CellCountPmf(
-        n_values=np.arange(n_max + 1),
+        n_values=n_values,
         pmf=pmf,
         ci_low=lo,
         ci_high=hi,
-        mean=float(total_users / total_cells),
-        reps=reps,
+        mean=float((hist @ n_values).sum() / total_cells),
+        reps=len(hists),
         seed=seed,
     )

@@ -65,9 +65,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output file path")
     parser.add_argument("--format", dest="fmt", choices=["csv", "json"], help="output format")
     parser.add_argument("--half-width", type=float, dest="half_width",
-                        help="target 95%% CI half-width for auto reps; void-prob adds reps "
-                             "until it is met, cell-pmf only sizes its fixed rep count "
-                             "from it (default 0.005)")
+                        help="target 95%% CI half-width for auto reps; void-prob and "
+                             "cell-pmf (on its n = 0 bin) add reps until it is met "
+                             "(default 0.005)")
     parser.add_argument("--mark-law", dest="mark_law",
                         help="conservation-check marks: deterministic:T | lognormal:MU,S2 | channel")
     parser.add_argument("--grid", type=int, help="quadrat grid for CSR tests (default 5)")

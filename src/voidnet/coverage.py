@@ -19,7 +19,7 @@ from .analytics import VORONOI_SHAPE, void_prob_rca, wilson_interval
 from .association import associate
 from .channel import ChannelParams, WeightLaw, sample_gain, zeta_dagger
 from .geometry import SimulationWindow, distances_to_point
-from .pointprocess import PointPattern, rep_rng, sample_ppp
+from .pointprocess import PointPattern, run_reps, sample_ppp
 
 ALL_BS = "all-bs"
 VOID_AWARE = "void-aware"
@@ -164,22 +164,16 @@ def sir_samples(
     the void-aware SIR is never below the all-bs SIR.
     """
     keep_prob = thinning_keep_probability(cfg.lambda_b, cfg.lambda_u, cfg.channel, cfg.law)
-    sirs = {m: np.empty(cfg.reps) for m in models}
-    tie_fractions = np.empty(cfg.reps)
-    for r in range(cfg.reps):
+
+    def draw(rng: np.random.Generator) -> tuple[list[float], float]:
         realization, tie = sample_realization(
-            cfg.lambda_b,
-            cfg.lambda_u,
-            cfg.channel,
-            cfg.law,
-            window,
-            rep_rng(seed, r),
-            keep_prob,
+            cfg.lambda_b, cfg.lambda_u, cfg.channel, cfg.law, window, rng, keep_prob
         )
-        tie_fractions[r] = tie
-        for m in models:
-            sirs[m][r] = sir_at_typical_user(realization, m)
-    return sirs, float(tie_fractions.mean())
+        return [sir_at_typical_user(realization, m) for m in models], tie
+
+    results = run_reps(draw, seed, cfg.reps)
+    sirs = np.array([s for s, _ in results])
+    return dict(zip(models, sirs.T)), float(np.mean([tie for _, tie in results]))
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from .channel import (
     ChannelParams,
     WeightLaw,
     fractional_moment,
+    sample_gain,
     shadowing_sigma2_from_db,
     zeta_dagger,
 )
@@ -44,6 +45,7 @@ from .pointprocess import (
     map_pattern,
     mark_expansion_factor,
     rep_rng,
+    run_reps,
     sample_ppp,
 )
 from .spatialstats import remark2_test
@@ -98,8 +100,8 @@ def suggested_reps(
     per-replication variance is the binomial one over the expected
     station count, inflated by a design effect for within-replication
     correlation.  This is an a-priori guess, so it cannot promise the
-    half-width a run reaches; ``void-prob`` uses it as the first batch of
-    a sequential run that stops only once the target is met.
+    half-width a run reaches; ``void-prob`` and ``cell-pmf`` use it as the
+    first batch of a sequential run that stops once the target is met.
     """
     p = min(max(p_guess, 0.02), 0.98)
     var_rep = design_effect * p * (1.0 - p) / max(expected_stations, 1.0)
@@ -229,20 +231,15 @@ def parse_mark_law(spec: str, cp: ChannelParams, law: WeightLaw):
         sampler = lambda rng, n: np.exp(rng.normal(mu_t, math.sqrt(s2_t), size=n))
         return sampler, math.exp(-2.0 * mu_t + 2.0 * s2_t), spec
     if spec == "channel":
-        from .channel import sample_gain  # local import keeps module load light
-
-        p = 2.0 / cp.alpha
-        moment = fractional_moment(cp, law, p)
-        if math.isinf(moment):
-            raise ConfigError(["channel mark law diverges: E[(WH)^(2/alpha)] is infinite"])
+        moment = fractional_moment(cp, law, 2.0 / cp.alpha)
+        if law.kind == "nearest":
+            return (lambda rng, n: np.ones(n)), moment, spec
 
         def sampler(rng, n, cp=cp, law=law):
             w = np.ones(n) if law.kind != "lognormal" else np.exp(
                 rng.normal(law.mu_w, math.sqrt(law.sigma2_w), size=n)
             )
             h = np.asarray(sample_gain(cp, rng, size=n), dtype=float).reshape(n)
-            if law.kind == "nearest":
-                return np.ones(n)
             return (w * h) ** (-1.0 / cp.alpha)
 
         return sampler, moment, spec
@@ -258,6 +255,13 @@ def validate(config: ExperimentConfig) -> list[str]:
     diags: list[str] = []
     if config.experiment not in EXPERIMENTS:
         diags.append(f"unknown experiment {config.experiment!r}")
+    # The side and reps checks below divide by these ratios.
+    ratios = config.ratios()
+    if config.ratio_grid is not None and not (
+        ratios and all(math.isfinite(r) and r > 0 for r in ratios)
+    ):
+        diags.append(f"ratio grid entries must be finite and > 0, got {list(ratios)}")
+        ratios = ()
     if config.lambda_b is not None and config.lambda_b <= 0:
         diags.append("no base stations: lambda_b must be > 0")
     if config.lambda_u < 0:
@@ -304,7 +308,7 @@ def validate(config: ExperimentConfig) -> list[str]:
             if side <= 0:
                 diags.append("window side must be > 0")
             else:
-                for ratio in config.ratios():
+                for ratio in ratios:
                     lb = config.lambda_u / ratio if config.lambda_u > 0 else (config.lambda_b or 0)
                     needed = auto_side(lb, config.lambda_u if config.lambda_u > 0 else lb)
                     if side < needed:
@@ -315,8 +319,8 @@ def validate(config: ExperimentConfig) -> list[str]:
                         break
         except (TypeError, ValueError):
             diags.append(f"side must be 'auto' or a positive number, got {config.side!r}")
-    if config.experiment == "void-prob" and config.reps is not None:
-        ratio = config.ratios()[0]
+    if config.experiment == "void-prob" and config.reps is not None and ratios:
+        ratio = ratios[0]
         lb = config.lambda_u / ratio
         window = config.window_for(lb, config.lambda_u)
         p_guess = void_prob_nearest(config.lambda_u, lb)
@@ -383,7 +387,10 @@ def _cell_pmf_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
         lambda_b * window.sampling_area(),
         config.half_width,
     )
-    pmf = cell_count_pmf_mc(lambda_b, config.lambda_u, cp, law, reps, window, config.seed)
+    pmf = cell_count_pmf_mc(
+        lambda_b, config.lambda_u, cp, law, reps, window, config.seed,
+        half_width=None if config.reps else config.half_width,
+    )
     rows = []
     for n in pmf.n_values:
         rows.append(
@@ -396,7 +403,7 @@ def _cell_pmf_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
             }
         )
     meta = {"ratio": ratio, "lambda_b": lambda_b, "mean_users_per_cell": pmf.mean,
-            "reps": reps, "side": window.side}
+            "reps": pmf.reps, "side": window.side}
     return rows, meta
 
 
@@ -470,26 +477,21 @@ def _conservation_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
     expansion = mark_expansion_factor(sampler, rep_rng(config.seed, 2**33))
     source = SimulationWindow(side=target.side * expansion)
 
-    rows = []
-    counts = np.empty(suites)
-    rejected = 0
-    for s in range(suites):
-        rng = rep_rng(config.seed, s)
+    def suite(rng: np.random.Generator) -> dict:
         src = sample_ppp(lambda_b, source, rng)
         marks = sampler(rng, len(src))
         mapped = map_pattern(src, marks, target=target, mean_inverse_square=mean_inv_sq)
-        counts[s] = len(mapped)
         report = csr_test(mapped, config.grid)
-        rejected += report.p_value < 0.05
-        rows.append(
-            {
-                "suite": s,
-                "n_mapped": len(mapped),
-                "chi2": report.statistic,
-                "dof": report.dof,
-                "p_value": report.p_value,
-            }
-        )
+        return {
+            "n_mapped": len(mapped),
+            "chi2": report.statistic,
+            "dof": report.dof,
+            "p_value": report.p_value,
+        }
+
+    rows = [{"suite": s, **row} for s, row in enumerate(run_reps(suite, config.seed, suites))]
+    counts = np.array([row["n_mapped"] for row in rows], dtype=float)
+    rejected = sum(row["p_value"] < 0.05 for row in rows)
     expected_count = mapped_intensity_value * target.sampling_area()
     meta = {
         "mark_law": label,

@@ -3,8 +3,9 @@
 Implements sampling of homogeneous PPPs on a window, the per-point random
 scaling map (each point is scaled about the window centre by its own
 i.i.d. positive scale factor, which turns an intensity-lambda PPP into one
-of intensity lambda * E[1/T^2]), nearest-point distances, and a
-quadrat-count chi-square test of complete spatial randomness.
+of intensity lambda * E[1/T^2]), nearest-point distances, a
+quadrat-count chi-square test of complete spatial randomness, and the
+replication engine every Monte-Carlo estimate runs on (:func:`run_reps`).
 """
 
 from __future__ import annotations
@@ -24,6 +25,28 @@ def rep_rng(seed: int, index: int) -> np.random.Generator:
     scheduled across workers, which keeps every experiment bit-reproducible.
     """
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+
+
+# Sequential stopping gives up after this many batches of replications.
+MAX_SEQUENTIAL_BATCHES = 16
+
+
+def run_reps(draw, seed: int, reps: int, done=None) -> list:
+    """``[draw(rep_rng(seed, r)) for r in range(reps)]``, optionally sequential.
+
+    ``draw`` returns a compact per-replication summary, never a raw
+    realization, since all results are kept.  With ``done`` given, the
+    run is a fixed-width sequential procedure (Chow & Robbins 1965):
+    while ``done(results)`` is false, another batch of ``reps`` continues
+    the streams, so stopping after k batches equals the fixed run of
+    k * reps.  Raises :class:`RuntimeError` after ``MAX_SEQUENTIAL_BATCHES``.
+    """
+    results = [draw(rep_rng(seed, r)) for r in range(reps)]
+    while done is not None and not done(results):
+        if len(results) >= MAX_SEQUENTIAL_BATCHES * reps:
+            raise RuntimeError(f"half-width target still missed after {len(results)} replications")
+        results.extend(draw(rep_rng(seed, r)) for r in range(len(results), len(results) + reps))
+    return results
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .analytics import pooled_fraction
 from .association import associate, associated_pattern
 from .channel import ChannelParams, WeightLaw
-from .geometry import SimulationWindow, pairwise_distances
-from .pointprocess import PointPattern, rep_rng, sample_ppp
+from .geometry import SimulationWindow
+from .pointprocess import PointPattern, run_reps, sample_ppp
 
 # Beyond side/4 the wrap-around starts to distort K; envelope-based
 # comparisons stay below it.
@@ -64,9 +65,9 @@ def ripley_k(pattern: PointPattern, radii) -> KFunctionEstimate:
         raise ValueError(f"pattern has {n} points; need at least {MIN_POINTS}")
     r = np.atleast_1d(np.asarray(radii, dtype=float))
 
-    dist = pairwise_distances(pattern.points, pattern.points, pattern.window)
-    pair_dists = np.sort(dist[np.triu_indices(n, k=1)])
-    counts = 2.0 * np.searchsorted(pair_dists, r, side="right")
+    # count_neighbors counts ordered pairs, each point with itself included
+    tree = cKDTree(pattern.points, boxsize=pattern.window.side)
+    counts = tree.count_neighbors(tree, r) - n
     area = pattern.window.sampling_area()
     k_hat = area * counts / (n * (n - 1.0))
     return KFunctionEstimate(radii=r, k_hat=k_hat)
@@ -91,9 +92,7 @@ def ppp_envelope(
     if r.max() > window.side * MAX_RADIUS_FRACTION + 1e-12:
         raise ValueError("envelope radii must stay at or below side/4")
 
-    k_sims = np.empty((n_envelope, len(r)))
-    for i in range(n_envelope):
-        rng = rep_rng(seed, i)
+    def draw(rng: np.random.Generator) -> np.ndarray:
         pattern = sample_ppp(intensity, window, rng)
         attempts = 0
         while len(pattern) < MIN_POINTS:
@@ -101,8 +100,9 @@ def ppp_envelope(
             if attempts > 100:
                 raise RuntimeError("intensity too low to form envelope patterns")
             pattern = sample_ppp(intensity, window, rng)
-        k_sims[i] = ripley_k(pattern, r).k_hat
+        return ripley_k(pattern, r).k_hat
 
+    k_sims = np.array(run_reps(draw, seed, n_envelope))
     return np.percentile(k_sims, 2.5, axis=0), np.percentile(k_sims, 97.5, axis=0)
 
 
@@ -155,11 +155,7 @@ def remark2_test(
         raise ValueError("need at least one replication")
     r = default_radii(window) if radii is None else np.atleast_1d(np.asarray(radii, dtype=float))
 
-    patterns = []
-    voids = np.zeros(reps)
-    cells = np.zeros(reps)
-    for i in range(reps):
-        rng = rep_rng(seed, i)
+    def draw(rng: np.random.Generator) -> tuple[PointPattern, int, int]:
         bs = sample_ppp(lambda_b, window, rng)
         if len(bs) == 0:
             raise RuntimeError("empty base-station draw; enlarge the window")
@@ -171,23 +167,16 @@ def remark2_test(
                 f"associated pattern has {len(kept)} stations (< {MIN_POINTS}); "
                 "no K statistic is possible at these intensities"
             )
-        patterns.append(kept)
-        voids[i] = outcome.void_count
-        cells[i] = len(bs)
+        return kept, outcome.void_count, len(bs)
 
-    void_fraction, _, _ = pooled_fraction(voids, cells)
+    results = run_reps(draw, seed, reps)
+    void_fraction, _, _ = pooled_fraction([v for _, v, _ in results], [c for _, _, c in results])
     matched = (1.0 - void_fraction) * lambda_b
     lo, hi = ppp_envelope(matched, window, r, n_envelope=n_envelope, seed=seed + 1)
 
-    below = np.zeros((reps, len(r)), dtype=bool)
-    above = np.zeros((reps, len(r)), dtype=bool)
-    k_all = np.empty((reps, len(r)))
-    for i, pattern in enumerate(patterns):
-        k_hat = ripley_k(pattern, r).k_hat
-        k_all[i] = k_hat
-        below[i] = k_hat < lo
-        above[i] = k_hat > hi
-
+    k_all = np.array([ripley_k(kept, r).k_hat for kept, _, _ in results])
+    below = k_all < lo
+    above = k_all > hi
     exits = below | above
     return Remark2Report(
         radii=r,

@@ -209,6 +209,20 @@ class TestCellCountPmf:
         est = void_probability_mc(*args, seed=8)
         assert pmf.pmf[0] == pytest.approx(est.value, rel=1e-12)
 
+    def test_half_width_target_on_zero_bin(self):
+        window = SimulationWindow(side=1.645)
+        args = (185.0, 370.0, RAYLEIGH, WeightLaw.nearest(), 4, window)
+        pmf = cell_count_pmf_mc(*args, seed=48, half_width=0.01)
+        assert (pmf.ci_high[0] - pmf.ci_low[0]) / 2.0 <= 0.01
+        assert pmf.reps > 4 and pmf.reps % 4 == 0
+        fixed = cell_count_pmf_mc(*args[:4], pmf.reps, window, seed=48)
+        for name in ("n_values", "pmf", "ci_low", "ci_high"):
+            assert np.array_equal(getattr(pmf, name), getattr(fixed, name))
+        assert (pmf.mean, pmf.reps) == (fixed.mean, fixed.reps)
+        est = void_probability_mc(*args, seed=48, half_width=0.01)
+        assert (pmf.pmf[0], pmf.ci_low[0], pmf.ci_high[0], pmf.reps) == (
+            est.value, est.ci_low, est.ci_high, est.reps)
+
 
 class TestAssociatedPattern:
     def test_no_voids_keeps_everything(self):

@@ -81,6 +81,23 @@ class TestSampleRealization:
         assert math.isinf(sir_at_typical_user(real, VOID_AWARE))
 
 
+class TestSirSamples:
+    def test_replication_r_runs_on_rep_rng_stream_r(self):
+        cfg = CoverageConfig(beta=0.8, lambda_b=100.0, lambda_u=200.0, channel=RAYLEIGH,
+                             law=WeightLaw.unit(), model=VOID_AWARE, reps=4)
+        window = SimulationWindow(side=2.0)
+        sirs, tie = sir_samples(cfg, window, seed=43)
+        keep_prob = thinning_keep_probability(100.0, 200.0, RAYLEIGH, cfg.law)
+        ties = []
+        for r in range(cfg.reps):
+            real, t = sample_realization(100.0, 200.0, RAYLEIGH, cfg.law, window,
+                                         rep_rng(43, r), keep_prob)
+            ties.append(t)
+            for m in MODELS:
+                assert sirs[m][r] == sir_at_typical_user(real, m)
+        assert tie == float(np.mean(ties))
+
+
 @pytest.fixture(scope="module")
 def samples():
     cfg = CoverageConfig(beta=0.8, lambda_b=185.0, lambda_u=370.0, channel=RAYLEIGH,

@@ -59,6 +59,14 @@ class TestValidate:
         cfg = ExperimentConfig(experiment="formulas", alpha=2.0)
         assert any("path-loss" in d for d in fatal(validate(cfg)))
 
+    @pytest.mark.parametrize("grid", ["-1", "0", "1,nan", "inf"])
+    def test_bad_ratio_grid(self, grid, capsys):
+        ratios = tuple(float(r) for r in grid.split(","))
+        cfg = ExperimentConfig(experiment="void-prob", ratio_grid=ratios, side=2.0, reps=4)
+        assert any("ratio grid" in d for d in fatal(validate(cfg)))
+        assert cli_main(["validate", "--ratio-grid", grid, "--side", "2"]) == 2
+        assert "configuration ok" not in capsys.readouterr().out
+
     def test_two_shadowing_specs_rejected(self):
         cfg = ExperimentConfig(experiment="formulas", sigma_db=8.0, sigma2_db=8.0)
         assert any("exactly one way" in d for d in validate(cfg))
@@ -104,6 +112,10 @@ class TestParsers:
         assert m2 == pytest.approx(math.exp(0.5))
         sampler3, m3, _ = parse_mark_law("channel", cp, law)
         assert m3 == 1.0  # nearest law: WH = 1
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert np.all(sampler3(rng, 5) == 1.0)
+        assert rng.bit_generator.state == state  # no gains drawn only to be discarded
         for bad in ("cauchy", "lognormal:0", "lognormal:a,b", "lognormal:0,nan",
                     "deterministic:abc", "deterministic:inf"):
             with pytest.raises(ConfigError):
@@ -124,10 +136,20 @@ class TestRunExperiments:
         run(cfg)
         assert out.read_bytes() == first
 
-    def test_void_prob_repeat_runs_identical(self, tmp_path):
+    @pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
+    def test_repeat_runs_identical(self, experiment, tmp_path):
+        tiny = {
+            "void-prob": dict(ratio_grid=(2.0,), reps=4, half_width=0.05),
+            "cell-pmf": dict(ratio_grid=(1.0,), reps=3),
+            "bounds-check": dict(sets=2, reps=2),
+            "conservation-check": dict(lambda_b=100.0, reps=5, mark_law="channel",
+                                       law="lognormal:0,1"),
+            "remark2": dict(ratio_grid=(0.5,), reps=2, n_envelope=39),
+            "coverage": dict(ratio_grid=(2.0,), reps=5),
+            "formulas": dict(ratio_grid=(0.5, 2.0)),
+        }
         out = tmp_path / "a.csv"
-        cfg = ExperimentConfig(experiment="void-prob", ratio_grid=(2.0,), reps=4,
-                               seed=9, half_width=0.05, out=str(out))
+        cfg = ExperimentConfig(experiment=experiment, seed=9, out=str(out), **tiny[experiment])
         run(cfg)
         first = out.read_bytes()
         run(cfg)
@@ -150,6 +172,26 @@ class TestRunExperiments:
         lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         row = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert row["reps"] == "123"  # the realized count, not the first batch
+
+    def test_cell_pmf_passes_half_width_for_auto_reps(self, tmp_path, monkeypatch):
+        calls = []
+        real_mc = harness.cell_count_pmf_mc
+
+        def spy_mc(*args, half_width=None):
+            calls.append((args[4], half_width))
+            return real_mc(*args, half_width=half_width)
+
+        monkeypatch.setattr(harness, "cell_count_pmf_mc", spy_mc)
+        out = tmp_path / "a.csv"
+        run(ExperimentConfig(experiment="cell-pmf", ratio_grid=(8.0,), seed=104, out=str(out)))
+        run(ExperimentConfig(experiment="cell-pmf", ratio_grid=(8.0,), seed=104, reps=4,
+                             out=str(tmp_path / "b.csv")))
+        assert calls == [(13, 0.005), (4, None)]  # a fixed rep count is run as given
+        text = out.read_text()
+        assert "# result.reps=26" in text  # the realized count, not the first batch
+        lines = [l for l in text.splitlines() if not l.startswith("#")]
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert (float(row["ci_high"]) - float(row["ci_low"])) / 2.0 <= 0.005
 
     def test_metadata_echo_in_csv(self, tmp_path):
         out = tmp_path / "f.csv"
@@ -227,7 +269,10 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["remark2", "--n-envelope", "10"],
         ["conservation-check", "--mark-law", "deterministic:abc"],
-    ], ids=["remark2-n-envelope", "conservation-mark-law"])
+        ["formulas", "--ratio-grid", "0"],
+        ["void-prob", "--ratio-grid", "-1", "--side", "2"],
+    ], ids=["remark2-n-envelope", "conservation-mark-law", "formulas-zero-ratio",
+            "void-prob-negative-ratio"])
     def test_config_errors_exit_two(self, argv, tmp_path, capsys):
         assert cli_main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
         assert "config error:" in capsys.readouterr().err

@@ -8,8 +8,10 @@ from voidnet.pointprocess import (
     csr_test,
     map_pattern,
     mark_expansion_factor,
+    MAX_SEQUENTIAL_BATCHES,
     nearest_distance,
     rep_rng,
+    run_reps,
     sample_ppp,
 )
 
@@ -211,3 +213,29 @@ class TestRepRng:
         b = rep_rng(123, 1).random(4)
         assert np.array_equal(a1, a2)
         assert not np.array_equal(a1, b)
+
+
+class TestRunReps:
+    def test_fixed_run_uses_rep_rng_streams(self):
+        draw = lambda rng: rng.random()
+        assert run_reps(draw, 7, 3) == [rep_rng(7, r).random() for r in range(3)]
+
+    def test_sequential_batches_continue_the_streams(self):
+        draw = lambda rng: rng.random()
+        seen = []
+
+        def done(results):
+            seen.append(len(results))
+            return len(results) >= 5
+
+        results = run_reps(draw, 8, 2, done=done)
+        assert seen == [2, 4, 6]  # checked after every batch of 2
+        assert results == run_reps(draw, 8, 6)
+
+    def test_cap_raises(self):
+        with pytest.raises(RuntimeError, match="half-width"):
+            run_reps(lambda rng: 0, 9, 1, done=lambda results: False)
+        calls = []
+        with pytest.raises(RuntimeError):
+            run_reps(calls.append, 9, 2, done=lambda results: False)
+        assert len(calls) == 2 * MAX_SEQUENTIAL_BATCHES

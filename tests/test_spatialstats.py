@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from voidnet.channel import ChannelParams, WeightLaw
-from voidnet.geometry import SimulationWindow
+from voidnet.geometry import SimulationWindow, pairwise_distances
 from voidnet.pointprocess import PointPattern, rep_rng, sample_ppp
 from voidnet.spatialstats import (
     KFunctionEstimate,
@@ -72,6 +72,18 @@ class TestRipleyK:
         with pytest.raises(ValueError):
             KFunctionEstimate(radii=np.array([0.1, 0.2]), k_hat=np.array([0.2, 0.1]))
 
+    def test_matches_pairwise_reference(self):
+        # the dense all-pairs count the tree replaced, kept as the reference
+        radii = np.array([1e-9, 0.01, 0.05, 0.1, 0.25, 0.5, UNIT.side * math.sqrt(2.0) / 2.0])
+        for r in range(20):
+            p = sample_ppp(300.0, UNIT, rep_rng(24, r))
+            n = len(p)
+            dist = pairwise_distances(p.points, p.points, UNIT)
+            pairs = np.sort(dist[np.triu_indices(n, k=1)])
+            counts = 2.0 * np.searchsorted(pairs, radii, side="right")
+            expected = UNIT.sampling_area() * counts / (n * (n - 1.0))
+            assert np.array_equal(ripley_k(p, radii).k_hat, expected)
+
     def test_guard_cross_check(self):
         # naive euclidean estimator on guard-interior points agrees with
         # the toroidal estimator for a PPP, away from the edges
@@ -117,6 +129,13 @@ class TestPppEnvelope:
         lo4, hi4 = ppp_envelope(800.0, UNIT, radii, n_envelope=199, seed=30)
         ratio = (hi1 - lo1) / (hi4 - lo4)
         assert np.all(ratio > 2.0)
+
+    def test_percentiles_of_rep_rng_patterns(self):
+        radii = np.array([0.05, 0.1, 0.2])
+        lo, hi = ppp_envelope(200.0, UNIT, radii, n_envelope=39, seed=33)
+        k = [ripley_k(sample_ppp(200.0, UNIT, rep_rng(33, i)), radii).k_hat for i in range(39)]
+        assert np.array_equal(lo, np.percentile(k, 2.5, axis=0))
+        assert np.array_equal(hi, np.percentile(k, 97.5, axis=0))
 
     def test_minimum_simulations(self):
         with pytest.raises(ValueError):
