@@ -28,6 +28,10 @@ from .pointprocess import PointPattern, run_reps, sample_ppp
 # considered ambiguous; a high fraction flags an undersized window.
 NEAR_TIE_RTOL = 0.01
 
+# User rows per block of the dense criterion in `associate`; bounds its
+# working set to a few (rows x stations) float64 arrays.
+ASSOCIATE_BLOCK_ROWS = 256
+
 
 @dataclass(frozen=True)
 class AssociationOutcome:
@@ -68,7 +72,10 @@ def associate(
     matrix first (log-normal law only), then the full user-by-station
     gain matrix (nearest law: serving-link gains only, since gains cancel
     out of its criterion, and the serving weight is W = 1/H).  Ties break
-    toward the lowest station index.
+    toward the lowest station index.  The distances, the criterion
+    (W * H) * d^(-alpha), its argmax and the runner-up are computed in
+    blocks of ``ASSOCIATE_BLOCK_ROWS`` users after both draws, which keeps
+    the working set in cache.
     """
     n_b = len(bs)
     n_u = len(users)
@@ -98,19 +105,29 @@ def associate(
         else:
             near_tie_fraction = 0.0
     else:
-        dist = pairwise_distances(users.points, bs.points, bs.window)
         weights = law.sample_weights((n_u, n_b), rng)
-        gains = np.asarray(sample_gain(cp, rng, size=(n_u, n_b)), dtype=float).reshape(n_u, n_b)
-        with np.errstate(divide="ignore"):
-            criterion = weights * gains * dist ** (-cp.alpha)
-        assignments = np.argmax(criterion, axis=1) if n_u else np.zeros(0, dtype=int)
+        gains = sample_gain(cp, rng, size=(n_u, n_b))
+        assignments = np.zeros(n_u, dtype=np.intp)
+        serving_distance = np.empty(n_u)
+        best = np.empty(n_u)
+        second = np.empty(n_u)
+        for start in range(0, n_u, ASSOCIATE_BLOCK_ROWS):
+            block = slice(start, start + ASSOCIATE_BLOCK_ROWS)
+            dist = pairwise_distances(users.points[block], bs.points, bs.window)
+            with np.errstate(divide="ignore"):
+                criterion = weights[block] * gains[block]
+                criterion *= dist ** (-cp.alpha)
+            rows = np.arange(len(criterion))
+            top = np.argmax(criterion, axis=1)
+            assignments[block] = top
+            serving_distance[block] = dist[rows, top]
+            best[block] = criterion[rows, top]
+            criterion[rows, top] = -np.inf  # the row max is now the runner-up
+            second[block] = criterion.max(axis=1)
         rows = np.arange(n_u)
-        serving_distance = dist[rows, assignments] if n_u else np.zeros(0)
-        serving_weight = weights[rows, assignments] if n_u else np.zeros(0)
-        serving_gain = gains[rows, assignments] if n_u else np.zeros(0)
+        serving_weight = weights[rows, assignments]
+        serving_gain = gains[rows, assignments]
         if n_u and n_b >= 2:
-            best = criterion[rows, assignments]
-            second = np.partition(criterion, n_b - 2, axis=1)[:, n_b - 2]
             with np.errstate(invalid="ignore"):
                 near_tie = second / best > 1.0 - NEAR_TIE_RTOL
             near_tie_fraction = float(np.mean(near_tie))

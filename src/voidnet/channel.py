@@ -123,21 +123,28 @@ class WeightLaw:
 
         Only the log-normal law consumes randomness; the unit law returns
         ones, and the nearest law (W = 1/H, which depends on the gain)
-        is resolved by the caller and also returns ones here.
+        is resolved by the caller and also returns ones here.  The ones
+        are a read-only broadcast view, not an allocated array.
         """
         if self.kind == LOGNORMAL:
             return np.exp(rng.normal(self.mu_w, math.sqrt(self.sigma2_w), size=size))
-        return np.ones(size)
+        return np.broadcast_to(1.0, size)
 
 
 def sample_gain(cp: ChannelParams, rng: np.random.Generator, size=None):
     """Draw composite gains H = Gamma(m, X/m) with log-normal X.
 
     Exact two-stage composition; no quadrature in the sampling path.
+    Gamma(m, X/m) is drawn as (X/m) * StandardGamma(m), which is how
+    NumPy draws ``gamma(m, scale)``, so the stream and the values are
+    those of ``rng.gamma(shape=m, scale=X/m)``, with no scale array.
     Returns a float for ``size=None``, else an ndarray.
     """
-    x = np.exp(rng.normal(cp.mu, math.sqrt(cp.sigma2), size=size))
-    h = rng.gamma(shape=cp.m, scale=x / cp.m, size=size)
+    x = np.asarray(rng.normal(cp.mu, math.sqrt(cp.sigma2), size=size))
+    np.exp(x, out=x)
+    x /= cp.m
+    h = rng.standard_gamma(cp.m, size=size)
+    h *= x
     if size is None:
         return float(h)
     return h

@@ -27,6 +27,15 @@ def _float_list(text: str) -> list[float]:
     return [float(x) for x in text.split(",")]
 
 
+def _side(text: str) -> float | str:
+    if text == "auto":
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'auto' or a number, got {text!r}")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat JSON config file; flags override its values")
     parser.add_argument("--lambda-b", type=float, dest="lambda_b", help="stations per km^2")
@@ -60,7 +69,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--reps", type=int, help="replications / suites (default: auto)")
     parser.add_argument("--sets", type=int, help="parameter sets for bounds-check (default 50)")
-    parser.add_argument("--side", help="window side in km, or 'auto'")
+    parser.add_argument("--side", type=_side, help="window side in km, or 'auto'")
     parser.add_argument("--seed", type=int, help="master seed (default 1)")
     parser.add_argument("--out", help="output file path")
     parser.add_argument("--format", dest="fmt", choices=["csv", "json"], help="output format")
@@ -97,8 +106,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         value = getattr(args, f.name, None)
         if value is not None:
             values[f.name] = value
-    if "side" in values and values["side"] != "auto":
-        values["side"] = float(values["side"])
     experiment = args.command if args.command != "validate" else values.get("experiment", "void-prob")
     values["experiment"] = experiment
     return ExperimentConfig.from_mapping(values)

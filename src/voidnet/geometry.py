@@ -51,14 +51,29 @@ def _as_xy(p) -> np.ndarray:
     return arr
 
 
+def _shortest_way(d: np.ndarray, side: float) -> np.ndarray:
+    """Reduce coordinate differences of in-window points, in place, to
+    the shorter way around the torus, so |d| becomes min(|d|, side - |d|).
+
+    ``d + side/2`` lies in (-side, 2*side), where one masked period shift
+    equals ``np.mod(d + side/2, side)`` bit for bit.
+    """
+    half = side / 2.0
+    d += half
+    np.subtract(d, side, out=d, where=d >= side)
+    np.add(d, side, out=d, where=d < 0.0)
+    d -= half
+    return d
+
+
 def wrapped_deltas(points, origin, window: SimulationWindow) -> np.ndarray:
     """Per-axis displacements from ``origin`` to ``points`` on the torus.
 
     Each axis difference d is reduced to the shorter way around, i.e.
     |d| becomes min(|d|, side - |d|).
     """
-    s = window.side
-    return np.mod(_as_xy(points) - _as_xy(origin) + s / 2.0, s) - s / 2.0
+    d = window.wrap(_as_xy(points)) - window.wrap(_as_xy(origin))
+    return _shortest_way(d, window.side)
 
 
 def distance(a, b, window: SimulationWindow) -> float:
@@ -81,15 +96,18 @@ def distances_to_point(points, origin, window: SimulationWindow) -> np.ndarray:
 
 
 def pairwise_distances(points_a, points_b, window: SimulationWindow) -> np.ndarray:
-    """(n, m) matrix of distances between two coordinate arrays."""
-    a = _as_xy(points_a)
-    b = _as_xy(points_b)
-    if a.ndim == 1:
-        a = a[None, :]
-    if b.ndim == 1:
-        b = b[None, :]
-    delta = wrapped_deltas(a[:, None, :], b[None, :, :], window)
-    return np.sqrt(np.sum(delta * delta, axis=-1))
+    """(n, m) matrix of distances between two coordinate arrays.
+
+    Works one axis at a time on (n, m) arrays, in place.
+    """
+    a = window.wrap(_as_xy(points_a)).reshape(-1, 2)
+    b = window.wrap(_as_xy(points_b)).reshape(-1, 2)
+    dx = _shortest_way(np.subtract.outer(a[:, 0], b[:, 0]), window.side)
+    dy = _shortest_way(np.subtract.outer(a[:, 1], b[:, 1]), window.side)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def uniform_points(window: SimulationWindow, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -246,6 +246,15 @@ def parse_mark_law(spec: str, cp: ChannelParams, law: WeightLaw):
     raise ConfigError([f"unknown mark law {spec!r}"])
 
 
+def _finite_positive(value) -> bool:
+    """True if ``value`` reads as a finite number > 0."""
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        return False
+    return math.isfinite(value) and value > 0
+
+
 def validate(config: ExperimentConfig) -> list[str]:
     """Collect configuration diagnostics without running anything.
 
@@ -302,24 +311,27 @@ def validate(config: ExperimentConfig) -> list[str]:
         diags.append("quadrat grid must be >= 2")
     if config.n_envelope < 39:
         diags.append("n_envelope must be >= 39 for a 95% envelope")
-    if config.side != "auto":
-        try:
-            side = float(config.side)
-            if side <= 0:
-                diags.append("window side must be > 0")
-            else:
-                for ratio in ratios:
-                    lb = config.lambda_u / ratio if config.lambda_u > 0 else (config.lambda_b or 0)
-                    needed = auto_side(lb, config.lambda_u if config.lambda_u > 0 else lb)
-                    if side < needed:
-                        diags.append(
-                            f"warning: window side {side} km gives expected counts below "
-                            f"{MIN_EXPECTED_POINTS:.0f} at ratio {ratio}; need >= {needed} km"
-                        )
-                        break
-        except (TypeError, ValueError):
-            diags.append(f"side must be 'auto' or a positive number, got {config.side!r}")
-    if config.experiment == "void-prob" and config.reps is not None and ratios:
+    # The void-prob reps check below divides by the half-width and builds
+    # a window of this side, so it runs only when both are usable.
+    half_width_ok = _finite_positive(config.half_width)
+    if not half_width_ok:
+        diags.append(f"half-width must be finite and > 0, got {config.half_width!r}")
+    side_ok = config.side == "auto" or _finite_positive(config.side)
+    if not side_ok:
+        diags.append(f"window side must be 'auto' or finite and > 0, got {config.side!r}")
+    elif config.side != "auto":
+        side = float(config.side)
+        for ratio in ratios:
+            lb = config.lambda_u / ratio if config.lambda_u > 0 else (config.lambda_b or 0)
+            needed = auto_side(lb, config.lambda_u if config.lambda_u > 0 else lb)
+            if side < needed:
+                diags.append(
+                    f"warning: window side {side} km gives expected counts below "
+                    f"{MIN_EXPECTED_POINTS:.0f} at ratio {ratio}; need >= {needed} km"
+                )
+                break
+    if (config.experiment == "void-prob" and config.reps is not None and ratios
+            and side_ok and half_width_ok):
         ratio = ratios[0]
         lb = config.lambda_u / ratio
         window = config.window_for(lb, config.lambda_u)

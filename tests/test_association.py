@@ -5,13 +5,15 @@ import pytest
 
 from voidnet.analytics import user_count_pmf, void_prob_nearest
 from voidnet.association import (
+    ASSOCIATE_BLOCK_ROWS,
+    NEAR_TIE_RTOL,
     associate,
     associated_pattern,
     cell_count_pmf_mc,
     void_probability_mc,
 )
-from voidnet.channel import ChannelParams, WeightLaw
-from voidnet.geometry import SimulationWindow
+from voidnet.channel import ChannelParams, WeightLaw, sample_gain
+from voidnet.geometry import SimulationWindow, pairwise_distances
 from voidnet.pointprocess import PointPattern, rep_rng, sample_ppp
 
 RAYLEIGH = ChannelParams(m=1.0, mu=0.0, sigma2=0.0, alpha=4.0)
@@ -97,6 +99,53 @@ class TestAssociate:
         out = associate(bs, users, RAYLEIGH, WeightLaw.unit(), np.random.default_rng(8))
         assert out.assignments[0] == 0
         assert out.serving_distance[0] == 0.0
+
+
+def reference_associate(bs, users, cp, law, rng):
+    """Unblocked criterion over full matrices, runner-up by ``np.partition``."""
+    n_u, n_b = len(users), len(bs)
+    dist = pairwise_distances(users.points, bs.points, bs.window)
+    weights = law.sample_weights((n_u, n_b), rng)
+    gains = sample_gain(cp, rng, size=(n_u, n_b))
+    with np.errstate(divide="ignore"):
+        criterion = weights * gains * dist ** (-cp.alpha)
+    rows = np.arange(n_u)
+    assignments = np.argmax(criterion, axis=1)
+    near_tie_fraction = 0.0
+    if n_u and n_b >= 2:
+        second = np.partition(criterion, n_b - 2, axis=1)[:, n_b - 2]
+        near_tie = second / criterion[rows, assignments] > 1.0 - NEAR_TIE_RTOL
+        near_tie_fraction = float(np.mean(near_tie))
+    return (assignments, dist[rows, assignments], weights[rows, assignments],
+            gains[rows, assignments], near_tie_fraction)
+
+
+class TestAssociateReference:
+    """The blocked dense kernel against the unblocked one it replaced."""
+
+    SHADOWED = ChannelParams(m=1.0, mu=0.0, sigma2=3.39, alpha=4.0)
+
+    @pytest.mark.parametrize("law", [WeightLaw.unit(), WeightLaw.lognormal(0.0, 4.0)],
+                             ids=["unit", "lognormal"])
+    @pytest.mark.parametrize("n_u,n_b", [(2 * ASSOCIATE_BLOCK_ROWS + 37, 60),
+                                         (ASSOCIATE_BLOCK_ROWS, 9), (300, 1), (0, 5)])
+    def test_bit_identical(self, law, n_u, n_b):
+        rng = np.random.default_rng(n_u + n_b)
+        users = pattern(rng.uniform(0.0, 10.0, (n_u, 2)))
+        bs = pattern(rng.uniform(0.0, 10.0, (n_b, 2)))
+        got_rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        out = associate(bs, users, self.SHADOWED, law, got_rng)
+        ref = reference_associate(bs, users, self.SHADOWED, law, ref_rng)
+        got = (out.assignments, out.serving_distance, out.serving_weight,
+               out.serving_gain, out.near_tie_fraction)
+        for field, value, expected in zip(("assignments", "distance", "weight", "gain", "tie"),
+                                          got, ref):
+            assert np.array_equal(value, expected), field
+        assert out.assignments.dtype == ref[0].dtype
+        assert out.serving_weight.flags.writeable  # a fresh array, not the ones view
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+        if n_u > ASSOCIATE_BLOCK_ROWS and n_b > 1:
+            assert 0.0 < out.near_tie_fraction < 1.0
 
 
 class TestVoidProbabilityMc:

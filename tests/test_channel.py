@@ -185,11 +185,42 @@ class TestZetaDagger:
         assert math.isinf(zeta_dagger(cp, WeightLaw.unit()))
 
 
+def reference_gain(cp, rng, size=None):
+    """Two-stage draw with the scale passed to ``rng.gamma`` as an array."""
+    x = np.exp(rng.normal(cp.mu, math.sqrt(cp.sigma2), size=size))
+    h = rng.gamma(shape=cp.m, scale=x / cp.m, size=size)
+    return float(h) if size is None else h
+
+
+class TestSampleGainReference:
+    @pytest.mark.parametrize("size", [None, 1, 257, (3, 5), (0, 4)])
+    @pytest.mark.parametrize("sigma2", [0.0, 3.39])
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 3.7])
+    def test_same_values_and_stream(self, m, sigma2, size):
+        cp = ChannelParams(m=m, mu=0.2, sigma2=sigma2, alpha=4.0)
+        rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
+        for _ in range(3):
+            h = sample_gain(cp, rng, size=size)
+            expected = reference_gain(cp, ref_rng, size=size)
+            if size is None:
+                assert isinstance(h, float)
+            assert np.array_equal(h, expected)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 class TestWeightLaw:
     def test_lognormal_weights_positive(self):
         law = WeightLaw.lognormal(-0.3, 1.2)
         w = law.sample_weights(10_000, np.random.default_rng(8))
         assert np.all(w > 0)
+
+    @pytest.mark.parametrize("law", [WeightLaw.unit(), WeightLaw.nearest()])
+    def test_ones_draw_nothing(self, law):
+        rng = np.random.default_rng(9)
+        state = rng.bit_generator.state
+        w = law.sample_weights((4, 3), rng)
+        assert w.shape == (4, 3) and np.all(w == 1.0)
+        assert rng.bit_generator.state == state
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -8,12 +8,25 @@ from voidnet.geometry import (
     distances_to_point,
     pairwise_distances,
     uniform_points,
+    wrapped_deltas,
 )
 
 
 @pytest.fixture
 def torus10():
     return SimulationWindow(side=10.0)
+
+
+def reference_deltas(a, b, side):
+    """Torus displacements by a float ``np.mod`` on the full (n, m, 2) array."""
+    return np.mod(a[:, None, :] - b[None, :, :] + side / 2.0, side) - side / 2.0
+
+
+def edge_points(side, rng, n):
+    """Uniform points plus coordinates at 0, side/2 and just below side."""
+    edges = np.array([0.0, side / 2.0, np.nextafter(side, 0.0)])
+    corners = np.array(np.meshgrid(edges, edges)).reshape(2, -1).T
+    return np.vstack([corners, rng.uniform(0.0, side, (n, 2))])
 
 
 class TestDistance:
@@ -57,6 +70,50 @@ class TestDistance:
         vec = distances_to_point(pts, origin, torus10)
         for p, d in zip(pts, vec):
             assert d == pytest.approx(distance(p, origin, torus10))
+
+
+class TestReferenceFormula:
+    """The per-axis one-period wrap against the np.mod formula it replaced."""
+
+    @pytest.mark.parametrize("side", [10.0, 1.163, 3.288])
+    def test_pairwise_matches_mod_reference(self, side):
+        rng = np.random.default_rng(11)
+        window = SimulationWindow(side=side)
+        a = edge_points(side, rng, 300)
+        b = edge_points(side, rng, 170)
+        delta = reference_deltas(a, b, side)
+        expected = np.sqrt(np.sum(delta * delta, axis=-1))
+        assert np.array_equal(pairwise_distances(a, b, window), expected)
+
+    def test_deltas_and_distances_to_point_match_mod_reference(self, torus10):
+        rng = np.random.default_rng(12)
+        pts = edge_points(10.0, rng, 200)
+        for origin in pts[:12]:
+            delta = reference_deltas(pts, origin[None, :], 10.0)[:, 0, :]
+            assert np.array_equal(wrapped_deltas(pts, origin, torus10), delta)
+            expected = np.hypot(delta[:, 0], delta[:, 1])
+            assert np.array_equal(distances_to_point(pts, origin, torus10), expected)
+
+
+class TestOutOfWindow:
+    """Shifted copies of in-window points measure like their images."""
+
+    @pytest.mark.parametrize("k", [-3, -1, 1, 3])
+    def test_shifted_points(self, torus10, k):
+        rng = np.random.default_rng(13)
+        a = edge_points(10.0, rng, 60)
+        b = rng.uniform(0.0, 10.0, (40, 2))
+        shift = k * 10.0
+        expected = pairwise_distances(a, b, torus10)
+        assert np.allclose(pairwise_distances(a + shift, b, torus10), expected, rtol=0, atol=1e-12)
+        assert np.allclose(pairwise_distances(a, b - shift, torus10), expected, rtol=0, atol=1e-12)
+        shifted_x = a + np.array([shift, 0.0])
+        assert np.allclose(pairwise_distances(shifted_x, b, torus10), expected, rtol=0, atol=1e-12)
+        origin = b[0]
+        assert np.allclose(distances_to_point(a + shift, origin - shift, torus10),
+                           expected[:, 0], rtol=0, atol=1e-12)
+        for p, d in zip(a[:10], expected[:10, 0]):
+            assert abs(distance(p + shift, origin, torus10) - d) <= 1e-12
 
 
 class TestWindow:

@@ -67,6 +67,24 @@ class TestValidate:
         assert cli_main(["validate", "--ratio-grid", grid, "--side", "2"]) == 2
         assert "configuration ok" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_half_width(self, value, capsys):
+        cfg = ExperimentConfig(experiment="void-prob", half_width=float(value), reps=4)
+        assert any("half-width" in d for d in fatal(validate(cfg)))
+        assert cli_main(["validate", "--half-width", value, "--reps", "4"]) == 2
+        assert "configuration ok" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_side(self, value, capsys):
+        cfg = ExperimentConfig(experiment="void-prob", side=float(value), reps=4)
+        assert any("window side" in d for d in fatal(validate(cfg)))
+        assert cli_main(["validate", "--side", value, "--reps", "4"]) == 2
+        assert "configuration ok" not in capsys.readouterr().out
+
+    def test_unparsable_side_from_config_file(self):
+        cfg = ExperimentConfig(experiment="void-prob", side="abc", reps=4)
+        assert any("window side" in d for d in fatal(validate(cfg)))
+
     def test_two_shadowing_specs_rejected(self):
         cfg = ExperimentConfig(experiment="formulas", sigma_db=8.0, sigma2_db=8.0)
         assert any("exactly one way" in d for d in validate(cfg))
@@ -271,11 +289,26 @@ class TestCli:
         ["conservation-check", "--mark-law", "deterministic:abc"],
         ["formulas", "--ratio-grid", "0"],
         ["void-prob", "--ratio-grid", "-1", "--side", "2"],
+        ["void-prob", "--half-width", "0", "--reps", "4"],
+        ["void-prob", "--half-width", "-1"],
+        ["void-prob", "--half-width", "nan"],
+        ["void-prob", "--side", "-1", "--reps", "4"],
+        ["void-prob", "--side", "nan"],
+        ["void-prob", "--side", "inf"],
     ], ids=["remark2-n-envelope", "conservation-mark-law", "formulas-zero-ratio",
-            "void-prob-negative-ratio"])
+            "void-prob-negative-ratio", "void-prob-zero-half-width",
+            "void-prob-negative-half-width", "void-prob-nan-half-width",
+            "void-prob-negative-side", "void-prob-nan-side", "void-prob-inf-side"])
     def test_config_errors_exit_two(self, argv, tmp_path, capsys):
         assert cli_main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "void-prob"])
+    def test_unparsable_side_exits_two(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--side", "abc"])
+        assert exc.value.code == 2
+        assert "argument --side" in capsys.readouterr().err
 
     def test_every_config_field_has_a_flag(self):
         subparsers = next(a for a in _build_parser()._actions
