@@ -27,6 +27,7 @@ from .association import (
     associated_pattern,
     cell_count_pmf_mc,
     void_probability_mc,
+    void_probability_sweep,
 )
 from .channel import ChannelParams, WeightLaw, fractional_moment, gain_pdf, sample_gain, zeta_dagger
 from .coverage import CoverageConfig, coverage_sweep, sir_at_typical_user
@@ -73,5 +74,6 @@ __all__ = [
     "void_prob_nearest",
     "void_prob_rca",
     "void_probability_mc",
+    "void_probability_sweep",
     "zeta_dagger",
 ]

@@ -13,6 +13,7 @@ across stations and replications.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -41,7 +42,8 @@ class AssociationOutcome:
     ``serving_weight[u]`` / ``serving_gain[u]`` are the W and H of that
     serving link; ``cell_counts`` partitions the users over stations, so
     its sum equals the user count and ``void_count`` is the number of
-    zero entries.
+    zero entries.  ``near_tie[u]`` flags a runner-up criterion within
+    ``NEAR_TIE_RTOL`` of user u's best.
     """
 
     assignments: np.ndarray
@@ -50,13 +52,18 @@ class AssociationOutcome:
     serving_gain: np.ndarray
     cell_counts: np.ndarray
     void_count: int
-    near_tie_fraction: float
+    near_tie: np.ndarray
 
     def __post_init__(self) -> None:
         if int(self.cell_counts.sum()) != len(self.assignments):
             raise ValueError("cell counts do not partition the user set")
         if int(np.sum(self.cell_counts == 0)) != self.void_count:
             raise ValueError("void count inconsistent with cell counts")
+
+    @property
+    def near_tie_fraction(self) -> float:
+        """Share of users whose association is ambiguous (window-adequacy diagnostic)."""
+        return float(np.mean(self.near_tie)) if len(self.near_tie) else 0.0
 
 
 def associate(
@@ -101,9 +108,8 @@ def associate(
             serving_weight = 1.0 / serving_gain
         if n_u and n_b >= 2:
             near_tie = (serving_distance / dd[:, 1]) ** cp.alpha > 1.0 - NEAR_TIE_RTOL
-            near_tie_fraction = float(np.mean(near_tie))
         else:
-            near_tie_fraction = 0.0
+            near_tie = np.zeros(n_u, dtype=bool)
     else:
         weights = law.sample_weights((n_u, n_b), rng)
         gains = sample_gain(cp, rng, size=(n_u, n_b))
@@ -127,12 +133,11 @@ def associate(
         rows = np.arange(n_u)
         serving_weight = weights[rows, assignments]
         serving_gain = gains[rows, assignments]
-        if n_u and n_b >= 2:
+        if n_b >= 2:
             with np.errstate(invalid="ignore"):
                 near_tie = second / best > 1.0 - NEAR_TIE_RTOL
-            near_tie_fraction = float(np.mean(near_tie))
         else:
-            near_tie_fraction = 0.0
+            near_tie = np.zeros(n_u, dtype=bool)
 
     cell_counts = np.bincount(assignments, minlength=n_b)
     return AssociationOutcome(
@@ -142,7 +147,7 @@ def associate(
         serving_gain=serving_gain,
         cell_counts=cell_counts,
         void_count=int(np.sum(cell_counts == 0)),
-        near_tie_fraction=near_tie_fraction,
+        near_tie=near_tie,
     )
 
 
@@ -182,10 +187,26 @@ def _replication_cells(
     return outcome.cell_counts
 
 
-def _void_estimate(hists: list[np.ndarray], seed: int) -> EstimateWithCI:
-    """Pooled void fraction of per-replication user-count histograms."""
-    p_hat, lo, hi = pooled_fraction([h[0] for h in hists], [h.sum() for h in hists])
-    return EstimateWithCI(value=p_hat, ci_low=lo, ci_high=hi, reps=len(hists), seed=seed)
+def _void_estimates(hists: list[np.ndarray], retain, seed: int) -> list[EstimateWithCI]:
+    """Pooled void fraction at each user retention probability ``p`` in ``retain``.
+
+    Thinning the users of a cell that holds K of them independently with
+    keep probability p leaves it void with probability exactly (1 - p)^K,
+    so a replication's expected void count at p is sum_k h[k] (1 - p)^k
+    (conditional Monte Carlo).  At p = 1 that is h[0], the plain count.
+    """
+    width = max(len(h) for h in hists)
+    counts = np.array([np.pad(h, (0, width - len(h))) for h in hists])
+    void_weights = (1.0 - np.asarray(retain, dtype=float)) ** np.arange(width)[:, None]
+    voids = counts @ void_weights
+    cells = counts.sum(axis=1)
+    estimates = []
+    for column in voids.T:
+        p_hat, lo, hi = pooled_fraction(column, cells)
+        estimates.append(
+            EstimateWithCI(value=p_hat, ci_low=lo, ci_high=hi, reps=len(hists), seed=seed)
+        )
+    return estimates
 
 
 def _cell_histograms(
@@ -197,12 +218,14 @@ def _cell_histograms(
     window: SimulationWindow,
     seed: int,
     half_width: float | None,
+    retain=(1.0,),
 ) -> list[np.ndarray]:
     """Per-replication histograms ``h``, ``h[n]`` = stations serving n users.
 
-    The one draw and stopping path of :func:`void_probability_mc` and
-    :func:`cell_count_pmf_mc`; a ``half_width`` target applies to the
-    pooled void fraction, bin 0 over the sum.
+    The one draw and stopping path of :func:`void_probability_sweep`,
+    :func:`void_probability_mc` and :func:`cell_count_pmf_mc`; a
+    ``half_width`` target applies to the pooled void fraction at every
+    retention probability in ``retain`` (bin 0 over the sum at p = 1).
     """
     if reps < 1:
         raise ValueError("need at least one replication")
@@ -222,9 +245,48 @@ def _cell_histograms(
         counts = _replication_cells(lambda_b, lambda_u, cp, law, window, rng)
         return np.bincount(counts, minlength=1)
 
-    if half_width is None:
-        return run_reps(draw, seed, reps)
-    return run_reps(draw, seed, reps, lambda h: _void_estimate(h, seed).half_width <= half_width)
+    def done(hists: list[np.ndarray]) -> bool:
+        return all(e.half_width <= half_width for e in _void_estimates(hists, retain, seed))
+
+    return run_reps(draw, seed, reps, None if half_width is None else done)
+
+
+def void_probability_sweep(
+    ratio_grid,
+    lambda_u: float,
+    cp: ChannelParams,
+    law: WeightLaw,
+    reps: int,
+    window: SimulationWindow,
+    seed: int,
+    half_width: float | None = None,
+) -> list[EstimateWithCI]:
+    """Void probability at every user/station ratio of a grid, from one draw per replication.
+
+    Each replication draws stations at lambda_u / r_top and users at
+    lambda_u on ``window``, with r_top = max(ratio_grid).  Users at ratio
+    r are an independent r / r_top thinning of those, and the void
+    probability depends on the intensities only through their ratio
+    (scaling every distance leaves the association argmax unchanged), so
+    every ratio is estimated on the same draw by the exact conditional
+    void probability (1 - r/r_top)^K of a cell holding K users.  The
+    estimate at ratio r is that of a window of side
+    ``window.side * sqrt(r / r_top)`` at lambda_b = lambda_u / r, which
+    holds the same expected station count.
+
+    With ``half_width`` set, batches of ``reps`` are added until every
+    ratio's 95% half-width is at most ``half_width``; each estimate's
+    ``reps`` is the realized, shared count.  A one-ratio grid is exactly
+    :func:`void_probability_mc` at lambda_b = lambda_u / ratio.
+    """
+    ratios = [float(r) for r in ratio_grid]
+    if not ratios or not all(math.isfinite(r) and r > 0 for r in ratios):
+        raise ValueError(f"ratio grid entries must be finite and > 0, got {ratios}")
+    r_top = max(ratios)
+    retain = [r / r_top for r in ratios]
+    hists = _cell_histograms(lambda_u / r_top, lambda_u, cp, law, reps, window, seed, half_width,
+                             retain)
+    return _void_estimates(hists, retain, seed)
 
 
 def void_probability_mc(
@@ -246,10 +308,12 @@ def void_probability_mc(
     With ``half_width`` set, batches of ``reps`` replications are added
     until the 95% half-width is at most ``half_width`` (the sequential
     rule of :func:`voidnet.pointprocess.run_reps`); the result's ``reps``
-    is the realized count.
+    is the realized count.  This is the one-ratio case of
+    :func:`void_probability_sweep` (retention probability 1), which also
+    allows ``lambda_u = 0``.
     """
     hists = _cell_histograms(lambda_b, lambda_u, cp, law, reps, window, seed, half_width)
-    return _void_estimate(hists, seed)
+    return _void_estimates(hists, (1.0,), seed)[0]
 
 
 @dataclass(frozen=True)

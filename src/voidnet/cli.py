@@ -44,7 +44,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--ratio-grid",
         dest="ratio_grid",
         type=_float_list,
-        help="comma-separated user/station intensity ratios, e.g. 0.5,1,2,4,8",
+        help="comma-separated user/station intensity ratios, e.g. 0.5,1,2,4,8; void-prob "
+             "and coverage draw each replication once, at the largest ratio, and reach "
+             "smaller ones by thinning its users",
     )
     parser.add_argument("--alpha", type=float, help="path-loss exponent (> 2, default 4)")
     parser.add_argument("--m", type=float, help="Nakagami shape (default 1 = Rayleigh power)")
@@ -69,14 +71,18 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--reps", type=int, help="replications / suites (default: auto)")
     parser.add_argument("--sets", type=int, help="parameter sets for bounds-check (default 50)")
-    parser.add_argument("--side", type=_side, help="window side in km, or 'auto'")
+    parser.add_argument("--side", type=_side,
+                        help="window side in km, or 'auto' (at least 500 expected stations "
+                             "and users); a void-prob or coverage grid uses it at its "
+                             "largest ratio, and void-prob rows report the equivalent "
+                             "side at their own station intensity")
     parser.add_argument("--seed", type=int, help="master seed (default 1)")
     parser.add_argument("--out", help="output file path")
     parser.add_argument("--format", dest="fmt", choices=["csv", "json"], help="output format")
     parser.add_argument("--half-width", type=float, dest="half_width",
-                        help="target 95%% CI half-width for auto reps; void-prob and "
-                             "cell-pmf (on its n = 0 bin) add reps until it is met "
-                             "(default 0.005)")
+                        help="target 95%% CI half-width for auto reps; void-prob (at "
+                             "every grid ratio, on shared replications) and cell-pmf (on "
+                             "its n = 0 bin) add reps until it is met (default 0.005)")
     parser.add_argument("--mark-law", dest="mark_law",
                         help="conservation-check marks: deterministic:T | lognormal:MU,S2 | channel")
     parser.add_argument("--grid", type=int, help="quadrat grid for CSR tests (default 5)")

@@ -108,13 +108,22 @@ def sample_realization(
     law: WeightLaw,
     window: SimulationWindow,
     rng: np.random.Generator,
-    keep_prob: float,
-) -> tuple[SirRealization, float]:
+    keep_probs,
+    retain=(1.0,),
+) -> list[tuple[SirRealization, float]]:
     """One network draw seen from the typical user at the window centre.
 
-    Returns the realization and the association near-tie fraction
-    (window-adequacy diagnostic).  Draw order is fixed: stations, users,
-    association, fresh interferer gains, then thinning retentions.
+    Returns one (realization, association near-tie fraction) pair per
+    user retention probability in ``retain``: other user u is kept at
+    retention p iff U_u < p, with one uniform U_u per user, which is an
+    independent p-thinning of the users; the typical user is always kept.
+    Every pair shares the stations, the association and the interferer
+    gains; only the non-void mask (stations serving a kept user), the
+    thinned-ppp mask (one shared uniform per interferer against
+    ``keep_probs[j]``) and the near-tie fraction (over kept users) differ.
+    At p = 1 every user is kept.  Draw order is fixed: stations, users,
+    association, fresh interferer gains, thinning uniforms, then the user
+    retention uniforms.
     """
     center = np.array([window.side / 2.0, window.side / 2.0])
     bs = sample_ppp(lambda_b, window, rng)
@@ -137,18 +146,48 @@ def sample_realization(
     others = np.flatnonzero(np.arange(len(bs)) != serving)
     other_dist = distances_to_point(bs.points[others], center, window)
     other_gains = np.asarray(sample_gain(cp, rng, size=len(others)), dtype=float).reshape(len(others))
-    kept = rng.random(len(others)) < keep_prob
+    thinning = rng.random(len(others))
+    retention = np.concatenate(([0.0], rng.random(len(users))))
 
-    realization = SirRealization(
-        alpha=cp.alpha,
-        serving_distance=float(outcome.serving_distance[0]),
-        serving_gain=float(outcome.serving_gain[0]),
-        interferer_distances=other_dist,
-        interferer_gains=other_gains,
-        interferer_nonvoid=outcome.cell_counts[others] > 0,
-        interferer_kept=kept,
-    )
-    return realization, outcome.near_tie_fraction
+    pairs = []
+    for keep_prob, p in zip(keep_probs, retain, strict=True):
+        kept_users = retention < p
+        cell_counts = np.bincount(outcome.assignments[kept_users], minlength=len(bs))
+        realization = SirRealization(
+            alpha=cp.alpha,
+            serving_distance=float(outcome.serving_distance[0]),
+            serving_gain=float(outcome.serving_gain[0]),
+            interferer_distances=other_dist,
+            interferer_gains=other_gains,
+            interferer_nonvoid=cell_counts[others] > 0,
+            interferer_kept=thinning < keep_prob,
+        )
+        pairs.append((realization, float(np.mean(outcome.near_tie[kept_users]))))
+    return pairs
+
+
+def _coupled_sirs(
+    cfg: CoverageConfig,
+    window: SimulationWindow,
+    seed: int,
+    keep_probs,
+    retain,
+    models: tuple[str, ...],
+) -> list[tuple[dict[str, np.ndarray], float]]:
+    """Per retention probability: SIR draws by model and mean near-tie fraction."""
+
+    def draw(rng: np.random.Generator) -> list[tuple[list[float], float]]:
+        pairs = sample_realization(
+            cfg.lambda_b, cfg.lambda_u, cfg.channel, cfg.law, window, rng, keep_probs, retain
+        )
+        return [([sir_at_typical_user(real, m) for m in models], tie) for real, tie in pairs]
+
+    results = run_reps(draw, seed, cfg.reps)
+    out = []
+    for j in range(len(retain)):
+        sirs = np.array([rep[j][0] for rep in results])
+        out.append((dict(zip(models, sirs.T)), float(np.mean([rep[j][1] for rep in results]))))
+    return out
 
 
 def sir_samples(
@@ -161,19 +200,11 @@ def sir_samples(
 
     Because the models only differ in which interferers transmit, running
     them on identical realizations makes dominance comparisons exact:
-    the void-aware SIR is never below the all-bs SIR.
+    the void-aware SIR is never below the all-bs SIR.  This is the
+    one-ratio case of :func:`coverage_sweep`.
     """
     keep_prob = thinning_keep_probability(cfg.lambda_b, cfg.lambda_u, cfg.channel, cfg.law)
-
-    def draw(rng: np.random.Generator) -> tuple[list[float], float]:
-        realization, tie = sample_realization(
-            cfg.lambda_b, cfg.lambda_u, cfg.channel, cfg.law, window, rng, keep_prob
-        )
-        return [sir_at_typical_user(realization, m) for m in models], tie
-
-    results = run_reps(draw, seed, cfg.reps)
-    sirs = np.array([s for s, _ in results])
-    return dict(zip(models, sirs.T)), float(np.mean([tie for _, tie in results]))
+    return _coupled_sirs(cfg, window, seed, (keep_prob,), (1.0,), models)[0]
 
 
 @dataclass(frozen=True)
@@ -200,37 +231,44 @@ def coverage_sweep(
     beta: float,
     reps: int,
     seed: int,
-    window_fn,
+    window: SimulationWindow,
     models: tuple[str, ...] = MODELS,
 ) -> list[CoverageRow]:
-    """Coverage across a ratio grid, all models coupled per replication.
+    """Coverage across a ratio grid, all models and ratios coupled per replication.
 
-    ``window_fn(lambda_b, lambda_u)`` supplies the simulation window for
-    each grid point (the CLI passes its auto-sizing rule).
+    Each replication draws one network at r_top = max(ratio_grid),
+    stations at lambda_u / r_top and users at lambda_u on ``window`` (the
+    CLI sizes it for r_top), and associates it once.  Ratio r keeps each
+    user with probability r / r_top (:func:`sample_realization`).  The SIR
+    depends on the intensities only through their ratio, so that is
+    coverage at lambda_b = lambda_u / r, the ``lambda_b`` each row
+    reports.  The all-bs SIR is the same at every ratio of a draw.
     """
+    ratios = [float(r) for r in ratio_grid]
+    if not ratios or not all(math.isfinite(r) and r > 0 for r in ratios):
+        raise ValueError(f"ratio grid entries must be finite and > 0, got {ratios}")
+    r_top = max(ratios)
+    cfg = CoverageConfig(
+        beta=beta,
+        lambda_b=lambda_u / r_top,
+        lambda_u=lambda_u,
+        channel=cp,
+        law=law,
+        model=models[0],
+        reps=reps,
+    )
+    keep_probs = [thinning_keep_probability(lambda_u / r, lambda_u, cp, law) for r in ratios]
+    retain = [r / r_top for r in ratios]
+    samples = _coupled_sirs(cfg, window, seed, keep_probs, retain, models)
     rows = []
-    for ratio in ratio_grid:
-        if ratio <= 0:
-            raise ValueError("ratio grid entries must be > 0")
-        lambda_b = lambda_u / ratio
-        window = window_fn(lambda_b, lambda_u)
-        cfg = CoverageConfig(
-            beta=beta,
-            lambda_b=lambda_b,
-            lambda_u=lambda_u,
-            channel=cp,
-            law=law,
-            model=models[0],
-            reps=reps,
-        )
-        sirs, tie = sir_samples(cfg, window, seed, models=models)
+    for ratio, (sirs, tie) in zip(ratios, samples):
         for m in models:
             covered = float(np.mean(sirs[m] >= beta))
             lo, hi = wilson_interval(covered, reps)
             rows.append(
                 CoverageRow(
-                    ratio=float(ratio),
-                    lambda_b=lambda_b,
+                    ratio=ratio,
+                    lambda_b=lambda_u / ratio,
                     lambda_u=lambda_u,
                     model=m,
                     beta=beta,

@@ -12,7 +12,9 @@ import csv
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields
+import types
+import typing
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,12 +24,13 @@ from . import __version__
 from .analytics import (
     VORONOI_SHAPE,
     Z_95,
+    mapped_intensity,
     user_count_pmf,
     void_prob_bounds,
     void_prob_nearest,
     void_prob_rca,
 )
-from .association import cell_count_pmf_mc, void_probability_mc
+from .association import cell_count_pmf_mc, void_probability_mc, void_probability_sweep
 from .channel import (
     SIGMA2_IN_DB,
     SIGMA_IN_DB,
@@ -180,14 +183,57 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(mapping) - known)
-        if unknown:
-            raise ConfigError([f"unknown config key {k!r}" for k in unknown])
-        values = dict(mapping)
-        if "ratio_grid" in values and values["ratio_grid"] is not None:
-            values["ratio_grid"] = tuple(float(r) for r in values["ratio_grid"])
+        """Config from a flat mapping, each value read as its field's declared type.
+
+        Raises :class:`ConfigError` with one diagnostic per unknown key or
+        mistyped value: ints are accepted for floats, nothing else is
+        converted, so ``"0.01"`` is not a half-width.
+        """
+        hints = typing.get_type_hints(cls)
+        diags = [f"unknown config key {k!r}" for k in sorted(set(mapping) - set(hints))]
+        values = {}
+        for key, value in mapping.items():
+            if key not in hints:
+                continue
+            hint = hints[key]
+            try:
+                values[key] = _coerce(value, hint)
+            except TypeError:
+                declared = hint.__name__ if isinstance(hint, type) else str(hint)
+                declared = declared.replace("NoneType", "None")
+                diags.append(f"config field {key!r} must be {declared}, got {value!r}")
+        if diags:
+            raise ConfigError(diags)
         return cls(**values)
+
+
+def _coerce(value, hint):
+    """``value`` as type ``hint``; raises TypeError when it is not one.
+
+    Handles the hints :class:`ExperimentConfig` uses: ``float`` (ints
+    widen), ``int``, ``str``, ``tuple[float, ...]`` and unions of these
+    with ``None``.
+    """
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        if value is None and type(None) in typing.get_args(hint):
+            return None
+        for option in typing.get_args(hint):
+            try:
+                return _coerce(value, option)
+            except TypeError:
+                pass
+        raise TypeError(value)
+    if typing.get_origin(hint) is tuple:
+        if isinstance(value, (str, bytes)):
+            raise TypeError(value)
+        return tuple(_coerce(v, typing.get_args(hint)[0]) for v in value)
+    if isinstance(value, bool):
+        raise TypeError(value)
+    if hint is float and isinstance(value, (int, float)):
+        return float(value)
+    if hint in (int, str) and isinstance(value, hint):
+        return value
+    raise TypeError(value)
 
 
 def parse_weight_law(spec: str) -> WeightLaw:
@@ -332,9 +378,8 @@ def validate(config: ExperimentConfig) -> list[str]:
                 break
     if (config.experiment == "void-prob" and config.reps is not None and ratios
             and side_ok and half_width_ok):
-        ratio = ratios[0]
-        lb = config.lambda_u / ratio
-        window = config.window_for(lb, config.lambda_u)
+        r_top, window = _grid_window(config, ratios)
+        lb = config.lambda_u / r_top
         p_guess = void_prob_nearest(config.lambda_u, lb)
         needed = suggested_reps(p_guess, lb * window.sampling_area(), config.half_width)
         if config.reps < needed:
@@ -350,31 +395,48 @@ def validate(config: ExperimentConfig) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+def _grid_window(config: ExperimentConfig, ratios) -> tuple[float, SimulationWindow]:
+    """(r_top, window) of a ratio grid's one draw per replication.
+
+    Stations are drawn at lambda_u / r_top, with r_top the largest grid
+    ratio, in the window the auto rule (or ``side``) gives there.
+    """
+    r_top = max(ratios)
+    return r_top, config.window_for(config.lambda_u / r_top, config.lambda_u)
+
+
 def _void_prob_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
     cp = config.channel_params()
     law = config.weight_law()
     zd = zeta_dagger(cp, law)
     rho = VORONOI_SHAPE * zd if math.isfinite(zd) else math.inf
-    rows = []
-    for ratio in config.ratios():
-        lambda_b = config.lambda_u / ratio
-        window = config.window_for(lambda_b, config.lambda_u)
-        p_guess = void_prob_rca(config.lambda_u, lambda_b, rho if math.isfinite(rho) else VORONOI_SHAPE)
-        if config.reps:
-            reps, target = config.reps, None
-        else:
-            reps = suggested_reps(p_guess, lambda_b * window.sampling_area(), config.half_width)
-            target = config.half_width
-        est = void_probability_mc(
-            lambda_b, config.lambda_u, cp, law, reps, window, config.seed, half_width=target
+    ratios = config.ratios()
+    r_top, window = _grid_window(config, ratios)
+    lambda_b_top = config.lambda_u / r_top
+    if config.reps:
+        reps, target = config.reps, None
+    else:
+        p_guess = void_prob_rca(
+            config.lambda_u, lambda_b_top, rho if math.isfinite(rho) else VORONOI_SHAPE
         )
+        reps = suggested_reps(p_guess, lambda_b_top * window.sampling_area(), config.half_width)
+        target = config.half_width
+    estimates = void_probability_sweep(
+        ratios, config.lambda_u, cp, law, reps, window, config.seed, half_width=target
+    )
+    rows = []
+    for ratio, est in zip(ratios, estimates):
+        lambda_b = config.lambda_u / ratio
         lower, upper = void_prob_bounds(config.lambda_u, lambda_b, zd)
         rows.append(
             {
                 "ratio": ratio,
                 "lambda_b": lambda_b,
                 "lambda_u": config.lambda_u,
-                "side": window.side,
+                # The window at lambda_b that holds the draw's expected
+                # station count, so reps * lambda_b * side^2 is the number
+                # of cells the estimate pools.
+                "side": window.side * math.sqrt(ratio / r_top),
                 "reps": est.reps,
                 "p_void_sim": est.value,
                 "ci_low": est.ci_low,
@@ -385,7 +447,10 @@ def _void_prob_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
                 "bound_high": upper,
             }
         )
-    return rows, {"zeta_dagger": zd, "rho": rho}
+    realized = estimates[0].reps
+    meta = {"zeta_dagger": zd, "rho": rho, "r_top": r_top, "side_top": window.side,
+            "reps": realized, "batches": realized // reps}
+    return rows, meta
 
 
 def _cell_pmf_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
@@ -478,7 +543,7 @@ def _conservation_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
 
     # About 40 mapped points per quadrat keeps the chi-square quadrat test
     # well calibrated in both tails.
-    mapped_intensity_value = lambda_b * mean_inv_sq
+    mapped_intensity_value = mapped_intensity(lambda_b, mean_inv_sq)
     target_side = (
         float(config.side)
         if config.side != "auto"
@@ -565,6 +630,7 @@ def _coverage_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
     models = MODELS if config.model is None else (config.model,)
     reps = config.reps or 400
     ratios = config.ratios() if config.ratio_grid is not None else (0.5, 1.0, 2.0, 5.0, 10.0)
+    r_top, window = _grid_window(config, ratios)
     results = coverage_sweep(
         ratios,
         config.lambda_u,
@@ -573,7 +639,7 @@ def _coverage_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
         config.beta,
         reps,
         config.seed,
-        window_fn=lambda lb, lu: config.window_for(lb, lu),
+        window,
         models=models,
     )
     rows = [
@@ -590,7 +656,9 @@ def _coverage_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
         }
         for r in results
     ]
-    return rows, {"models": ",".join(models)}
+    meta = {"models": ",".join(models), "r_top": r_top, "side_top": window.side,
+            "reps": reps, "batches": 1}
+    return rows, meta
 
 
 def _formulas_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:

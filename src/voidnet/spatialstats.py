@@ -42,10 +42,6 @@ class KFunctionEstimate:
         if np.any(k < 0) or np.any(np.diff(k) < 0):
             raise ValueError("k_hat must be non-negative and non-decreasing")
 
-    def csr_reference(self) -> np.ndarray:
-        """pi * r^2, the K function of any homogeneous PPP."""
-        return np.pi * np.asarray(self.radii) ** 2
-
 
 def default_radii(window: SimulationWindow, n: int = 20) -> np.ndarray:
     """Evenly spaced radii from side/50 up to the side/4 cap."""

@@ -1,16 +1,21 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from voidnet.analytics import user_count_pmf, void_prob_nearest
 from voidnet.association import (
     ASSOCIATE_BLOCK_ROWS,
     NEAR_TIE_RTOL,
+    _void_estimates,
     associate,
     associated_pattern,
     cell_count_pmf_mc,
     void_probability_mc,
+    void_probability_sweep,
 )
 from voidnet.channel import ChannelParams, WeightLaw, sample_gain
 from voidnet.geometry import SimulationWindow, pairwise_distances
@@ -225,6 +230,57 @@ class TestVoidProbabilityMc:
         with pytest.raises(ValueError):
             void_probability_mc(50.0, 100.0, RAYLEIGH, WeightLaw.nearest(), 1, window,
                                 seed=50, half_width=0.0)
+
+
+class TestVoidProbabilitySweep:
+    """One draw at the top ratio, thinned to every grid ratio."""
+
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=4),
+           st.floats(0.01, 1.0))
+    def test_thinned_void_weight_is_exact(self, cell_users, p):
+        # Enumerate every retained subset of the users: the expected void
+        # count after independent p-thinning is sum_i (1 - p)^K_i.
+        owner = [cell for cell, k in enumerate(cell_users) for _ in range(k)]
+        expected = 0.0
+        for kept in itertools.product((False, True), repeat=len(owner)):
+            prob = math.prod(p if keep else 1.0 - p for keep in kept)
+            served = {cell for cell, keep in zip(owner, kept) if keep}
+            expected += prob * (len(cell_users) - len(served))
+        hist = np.bincount(cell_users, minlength=1)
+        [est] = _void_estimates([hist], [p], seed=0)
+        assert est.value * len(cell_users) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+    @given(st.integers(0, 10_000))
+    def test_one_draw_non_increasing_in_ratio(self, seed):
+        grid = (0.5, 1.0, 2.0, 4.0)
+        ests = void_probability_sweep(grid, 370.0, RAYLEIGH, WeightLaw.nearest(), 1,
+                                      SimulationWindow(side=1.2), seed)
+        values = [e.value for e in ests]
+        assert all(a >= b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("half_width", [None, 0.02])
+    def test_single_ratio_is_void_probability_mc(self, half_width):
+        window = SimulationWindow(side=1.645)
+        [est] = void_probability_sweep((2.0,), 370.0, RAYLEIGH, WeightLaw.unit(), 4, window,
+                                       seed=51, half_width=half_width)
+        assert est == void_probability_mc(185.0, 370.0, RAYLEIGH, WeightLaw.unit(), 4, window,
+                                          seed=51, half_width=half_width)
+
+    def test_half_width_met_at_every_ratio(self):
+        window = SimulationWindow(side=2.4)
+        args = ((0.5, 1.0, 4.0), 370.0, RAYLEIGH, WeightLaw.nearest())
+        ests = void_probability_sweep(*args, 4, window, seed=52, half_width=0.01)
+        assert all(e.half_width <= 0.01 for e in ests)
+        reps = {e.reps for e in ests}
+        assert len(reps) == 1 and reps.pop() % 4 == 0
+        fixed = void_probability_sweep(*args, ests[0].reps, window, seed=52)
+        assert fixed == ests
+
+    @pytest.mark.parametrize("grid", [(), (0.0, 1.0), (-1.0,), (math.inf,)])
+    def test_bad_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="ratio grid"):
+            void_probability_sweep(grid, 370.0, RAYLEIGH, WeightLaw.nearest(), 1,
+                                   SimulationWindow(side=1.0), seed=53)
 
 
 class TestCellCountPmf:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from voidnet.channel import ChannelParams, WeightLaw
 from voidnet.coverage import (
@@ -68,15 +70,15 @@ class TestSampleRealization:
         window = SimulationWindow(side=2.0)
         for r in range(5):
             rng = rep_rng(40, r)
-            real, _ = sample_realization(100.0, 50.0, RAYLEIGH, WeightLaw.nearest(),
-                                         window, rng, keep_prob=0.5)
+            [(real, _)] = sample_realization(100.0, 50.0, RAYLEIGH, WeightLaw.nearest(),
+                                             window, rng, keep_probs=(0.5,))
             assert real.serving_distance > 0.0
             assert real.serving_gain > 0.0
 
     def test_no_other_users_all_interferers_void(self):
         window = SimulationWindow(side=2.0)
-        real, _ = sample_realization(100.0, 0.0, RAYLEIGH, WeightLaw.nearest(),
-                                     window, rep_rng(41, 0), keep_prob=1.0)
+        [(real, _)] = sample_realization(100.0, 0.0, RAYLEIGH, WeightLaw.nearest(),
+                                         window, rep_rng(41, 0), keep_probs=(1.0,))
         assert not real.interferer_nonvoid.any()
         assert math.isinf(sir_at_typical_user(real, VOID_AWARE))
 
@@ -90,8 +92,8 @@ class TestSirSamples:
         keep_prob = thinning_keep_probability(100.0, 200.0, RAYLEIGH, cfg.law)
         ties = []
         for r in range(cfg.reps):
-            real, t = sample_realization(100.0, 200.0, RAYLEIGH, cfg.law, window,
-                                         rep_rng(43, r), keep_prob)
+            [(real, t)] = sample_realization(100.0, 200.0, RAYLEIGH, cfg.law, window,
+                                             rep_rng(43, r), (keep_prob,))
             ties.append(t)
             for m in MODELS:
                 assert sirs[m][r] == sir_at_typical_user(real, m)
@@ -145,10 +147,51 @@ class TestThinning:
     def test_sweep_rows(self):
         rows = coverage_sweep(
             (2.0,), 370.0, RAYLEIGH, WeightLaw.nearest(), beta=0.8, reps=40, seed=46,
-            window_fn=lambda lb, lu: SimulationWindow(side=1.645), models=MODELS,
+            window=SimulationWindow(side=1.645), models=MODELS,
         )
         assert len(rows) == 3
         assert {r.model for r in rows} == set(MODELS)
         for r in rows:
             assert r.ci_low <= r.estimate <= r.ci_high
             assert r.lambda_b == pytest.approx(185.0)
+
+
+class TestCoupledSweep:
+    """One association per replication serves every ratio of the grid."""
+
+    @given(st.integers(0, 10_000),
+           st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4).map(sorted))
+    def test_one_draw_across_ratios(self, seed, retain):
+        retain = retain + [1.0]
+        keep_probs = [0.3] * len(retain)
+        pairs = sample_realization(185.0, 370.0, RAYLEIGH, WeightLaw.unit(),
+                                   SimulationWindow(side=1.2), rep_rng(seed, 0), keep_probs, retain)
+        all_bs = [sir_at_typical_user(real, ALL_BS) for real, _ in pairs]
+        void_aware = [sir_at_typical_user(real, VOID_AWARE) for real, _ in pairs]
+        assert len(set(all_bs)) == 1
+        assert all(v >= a for v, a in zip(void_aware, all_bs))
+        # kept users at a lower ratio are a subset of those at a higher one
+        assert all(a >= b for a, b in zip(void_aware, void_aware[1:]))
+        nonvoid = [real.interferer_nonvoid for real, _ in pairs]
+        assert all(np.all(a <= b) for a, b in zip(nonvoid, nonvoid[1:]))
+
+    def test_single_ratio_equals_sir_samples(self):
+        window = SimulationWindow(side=1.645)
+        rows = coverage_sweep((2.0,), 370.0, RAYLEIGH, WeightLaw.unit(), beta=0.8, reps=30,
+                              seed=47, window=window)
+        cfg = CoverageConfig(beta=0.8, lambda_b=185.0, lambda_u=370.0, channel=RAYLEIGH,
+                             law=WeightLaw.unit(), model=ALL_BS, reps=30)
+        sirs, tie = sir_samples(cfg, window, seed=47)
+        for row in rows:
+            assert row.estimate == float(np.mean(sirs[row.model] >= 0.8))
+            assert row.near_tie_fraction == tie
+
+    def test_top_ratio_rows_equal_its_own_sweep(self):
+        window = SimulationWindow(side=1.645)
+        args = (370.0, RAYLEIGH, WeightLaw.nearest())
+        grid = coverage_sweep((0.5, 2.0), *args, beta=0.8, reps=25, seed=48, window=window)
+        alone = coverage_sweep((2.0,), *args, beta=0.8, reps=25, seed=48, window=window)
+        assert [r for r in grid if r.ratio == 2.0] == alone
+        by_ratio = {(r.ratio, r.model): r.estimate for r in grid}
+        assert by_ratio[(0.5, ALL_BS)] == by_ratio[(2.0, ALL_BS)]
+        assert [r.lambda_b for r in grid if r.model == ALL_BS] == [740.0, 185.0]

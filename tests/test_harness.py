@@ -139,6 +139,17 @@ class TestParsers:
             with pytest.raises(ConfigError):
                 parse_mark_law(bad, cp, law)
 
+    def test_config_values_read_as_declared_types(self):
+        cfg = ExperimentConfig.from_mapping(
+            {"experiment": "void-prob", "lambda_u": 370, "ratio_grid": [1, 2.5], "reps": None,
+             "side": "auto"})
+        assert cfg.lambda_u == 370.0 and isinstance(cfg.lambda_u, float)
+        assert cfg.ratio_grid == (1.0, 2.5) and cfg.reps is None and cfg.side == "auto"
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_mapping({"experiment": "void-prob", "seed": True, "m": "1",
+                                           "ratio_grid": "1,2", "law": 3, "lambda_b": [1.0]})
+        assert len(exc.value.diagnostics) == 5
+
     def test_unknown_config_key_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_mapping({"experiment": "formulas", "lambda_bee": 1.0})
@@ -176,11 +187,12 @@ class TestRunExperiments:
     def test_void_prob_passes_half_width_for_auto_reps(self, tmp_path, monkeypatch):
         calls = []
 
-        def fake_mc(*args, half_width=None):
+        def fake_sweep(ratios, *args, half_width=None):
             calls.append(half_width)
-            return EstimateWithCI(value=0.2, ci_low=0.19, ci_high=0.21, reps=123, seed=args[-1])
+            return [EstimateWithCI(value=0.2, ci_low=0.19, ci_high=0.21, reps=123, seed=args[-1])
+                    for _ in ratios]
 
-        monkeypatch.setattr(harness, "void_probability_mc", fake_mc)
+        monkeypatch.setattr(harness, "void_probability_sweep", fake_sweep)
         out = tmp_path / "a.csv"
         run(ExperimentConfig(experiment="void-prob", ratio_grid=(2.0,), half_width=0.01,
                              out=str(out)))
@@ -190,6 +202,53 @@ class TestRunExperiments:
         lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         row = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert row["reps"] == "123"  # the realized count, not the first batch
+
+    @pytest.mark.parametrize("experiment,extra,expected", [
+        ("void-prob", dict(reps=3), [
+            "ratio,lambda_b,lambda_u,side,reps,p_void_sim,ci_low,ci_high,p_void_nearest_formula,"
+            "p_void_rca_formula,bound_low,bound_high",
+            "2.0,185.0,370.0,1.644,3,0.23659517426273458,0.21572397724686543,0.25881926704877384,"
+            "0.20557426301997803,0.20557426301997803,0.1353352832366127,0.33333333333333337",
+        ]),
+        ("coverage", dict(reps=20, law="unit", sigma_db=8.0), [
+            "ratio,lambda_b,model,beta,coverage,ci_low,ci_high,reps,near_tie_fraction",
+            "2.0,185.0,all-bs,0.8,0.5,0.2992980081982123,0.7007019918017877,20,0.004967684414480169",
+            "2.0,185.0,void-aware,0.8,0.55,0.34208534245034233,0.7418021417443759,20,"
+            "0.004967684414480169",
+            "2.0,185.0,thinned-ppp,0.8,0.55,0.34208534245034233,0.7418021417443759,20,"
+            "0.004967684414480169",
+        ]),
+    ], ids=["void-prob", "coverage"])
+    def test_single_ratio_rows_pinned(self, experiment, extra, expected, tmp_path):
+        # A one-ratio grid is drawn as it was before grids shared a draw.
+        out = tmp_path / "a.csv"
+        run(ExperimentConfig(experiment=experiment, ratio_grid=(2.0,), out=str(out), **extra))
+        assert [l for l in out.read_text().splitlines() if not l.startswith("#")] == expected
+
+    def test_wide_grid_meets_half_width_well_inside_the_cap(self, tmp_path):
+        out = tmp_path / "a.json"
+        grid = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
+        run(ExperimentConfig(experiment="void-prob", ratio_grid=grid, fmt="json", out=str(out)))
+        payload = json.loads(out.read_text())
+        meta, rows = payload["metadata"], payload["rows"]
+        assert meta["result.r_top"] == 20.0
+        assert meta["result.side_top"] == auto_side(370.0 / 20.0, 370.0)
+        assert meta["result.batches"] <= 8  # the cap is MAX_SEQUENTIAL_BATCHES = 16
+        assert [r["ratio"] for r in rows] == list(grid)
+        for row in rows:
+            assert row["reps"] == meta["result.reps"]
+            assert (row["ci_high"] - row["ci_low"]) / 2.0 <= 0.005
+            # the equivalent window holds the draw's expected station count
+            assert row["lambda_b"] * row["side"] ** 2 == pytest.approx(
+                370.0 / 20.0 * meta["result.side_top"] ** 2)
+
+    def test_coverage_metadata(self, tmp_path):
+        out = tmp_path / "a.json"
+        run(ExperimentConfig(experiment="coverage", ratio_grid=(0.5, 4.0), reps=5, fmt="json",
+                             out=str(out)))
+        meta = json.loads(out.read_text())["metadata"]
+        assert (meta["result.r_top"], meta["result.reps"], meta["result.batches"]) == (4.0, 5, 1)
+        assert meta["result.side_top"] == auto_side(370.0 / 4.0, 370.0)
 
     def test_cell_pmf_passes_half_width_for_auto_reps(self, tmp_path, monkeypatch):
         calls = []
@@ -302,6 +361,18 @@ class TestCli:
     def test_config_errors_exit_two(self, argv, tmp_path, capsys):
         assert cli_main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "void-prob"])
+    @pytest.mark.parametrize("values", [{"half_width": "0.01", "reps": 4}, {"reps": "4"}],
+                             ids=["string-half-width", "string-reps"])
+    def test_mistyped_config_file_exits_two(self, command, values, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(values))
+        assert cli_main([command, "--config", str(cfg_file),
+                         "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error:") == 1
+        assert "must be" in err
 
     @pytest.mark.parametrize("command", ["validate", "void-prob"])
     def test_unparsable_side_exits_two(self, command, capsys):
