@@ -27,7 +27,12 @@ class QuadratureError(RuntimeError):
 
     def __init__(self, message: str, achieved_tol: float):
         super().__init__(f"{message} (achieved tolerance {achieved_tol:.3e})")
+        self.message = message
         self.achieved_tol = achieved_tol
+
+    def __reduce__(self):
+        # The default rebuilds from ``args``, the formatted message alone.
+        return type(self), (self.message, self.achieved_tol)
 
 
 def shadowing_sigma2_from_db(value_db: float, convention: str) -> float:

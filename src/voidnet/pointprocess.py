@@ -5,11 +5,15 @@ scaling map (each point is scaled about the window centre by its own
 i.i.d. positive scale factor, which turns an intensity-lambda PPP into one
 of intensity lambda * E[1/T^2]), nearest-point distances, a
 quadrat-count chi-square test of complete spatial randomness, and the
-replication engine every Monte-Carlo estimate runs on (:func:`run_reps`).
+replication engine every Monte-Carlo estimate runs on (:func:`run_reps`),
+which splits the replications of a batch across the usable CPUs.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,14 +25,101 @@ from .geometry import SimulationWindow, distances_to_point, uniform_points
 def rep_rng(seed: int, index: int) -> np.random.Generator:
     """Independent, reproducible stream for replication ``index``.
 
-    Streams derived this way are identical no matter how replications are
-    scheduled across workers, which keeps every experiment bit-reproducible.
+    A stream depends only on ``(seed, index)``, not on which process draws
+    it or in what order, so :func:`run_reps` can hand replications to
+    worker processes and still return bit-identical results.
     """
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
 # Sequential stopping gives up after this many batches of replications.
 MAX_SEQUENTIAL_BATCHES = 16
+
+# Wall time to fork a worker pool, run one task on it and tear it down
+# (about 12 ms on a 2-core Xeon VM, Python 3.11).  A batch goes to workers
+# only when sharing the rest of it saves more wall time than this.
+_POOL_START_S = 0.012
+
+# The (draw, seed) of the run_reps call that forked this pool worker; set
+# only inside workers, which inherit the draw instead of unpickling it.
+_worker_job = None
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 (serial) where the OS cannot say."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return len(getaffinity(0)) if getaffinity else 1
+
+
+def _start_worker(draw, seed: int) -> None:
+    global _worker_job
+    _worker_job = (draw, seed)
+
+
+def _draws(draw, seed: int, lo: int, hi: int) -> list:
+    return [draw(rep_rng(seed, r)) for r in range(lo, hi)]
+
+
+def _worker_draws(lo: int, hi: int) -> list:
+    return _draws(*_worker_job, lo, hi)
+
+
+class _Batches:
+    """Runs index ranges of one ``run_reps`` call, forking workers once it pays.
+
+    A range's results are always in index order.  The pool, once started,
+    serves every later batch of the call; :meth:`close` reaps its workers.
+    """
+
+    def __init__(self, draw, seed: int):
+        self.draw, self.seed = draw, seed
+        self.pool = None
+        self.shares = 1
+
+    def run(self, lo: int, hi: int) -> list:
+        results = []
+        if self.pool is None:
+            started = time.perf_counter()
+            results.append(self.draw(rep_rng(self.seed, lo)))
+            lo += 1
+            if not self._fork_pool(hi - lo, time.perf_counter() - started):
+                return results + _draws(self.draw, self.seed, lo, hi)
+        # Contiguous shares: the first runs here, the rest on the workers.
+        bounds = [lo + (hi - lo) * i // self.shares for i in range(self.shares + 1)]
+        pending = [self.pool.apply_async(_worker_draws, (a, b))
+                   for a, b in zip(bounds[1:-1], bounds[2:]) if a < b]
+        results += _draws(self.draw, self.seed, bounds[0], bounds[1])
+        for share in pending:
+            results += share.get()
+        return results
+
+    def _fork_pool(self, rest: int, draw_s: float) -> bool:
+        """Fork a pool if sharing ``rest`` draws of ``draw_s`` s each saves more than it costs.
+
+        Workers must inherit the draw, a closure that cannot be pickled, so
+        only ``fork`` will do.  Forking is unsafe while other threads run,
+        such as those of a pool still open around a nested call, and a
+        daemonic pool worker may not fork at all.
+        """
+        cpus = _usable_cpus()
+        saved_s = (rest - -(-rest // cpus)) * draw_s  # serial time minus the largest share's
+        if saved_s <= _POOL_START_S or threading.active_count() > 1:
+            return False
+        import multiprocessing  # only a run that can use a pool pays for the import
+
+        if ("fork" not in multiprocessing.get_all_start_methods()
+                or multiprocessing.current_process().daemon):
+            return False
+        context = multiprocessing.get_context("fork")
+        self.pool = context.Pool(cpus - 1, initializer=_start_worker,
+                                 initargs=(self.draw, self.seed))
+        self.shares = cpus
+        return True
+
+    def close(self) -> None:
+        if self.pool is not None:
+            self.pool.terminate()
+            self.pool.join()
 
 
 def run_reps(draw, seed: int, reps: int, done=None) -> list:
@@ -40,12 +131,28 @@ def run_reps(draw, seed: int, reps: int, done=None) -> list:
     while ``done(results)`` is false, another batch of ``reps`` continues
     the streams, so stopping after k batches equals the fixed run of
     k * reps.  Raises :class:`RuntimeError` after ``MAX_SEQUENTIAL_BATCHES``.
+
+    Replications may run in parallel.  The first of a batch is timed here;
+    when splitting the rest across the usable CPUs would save more wall
+    time than starting a pool costs, they are split into contiguous index
+    ranges, one per CPU, and all but the first go to worker processes
+    forked for this call (one pool serves all its batches).  Workers return
+    the summaries of their range, which must pickle, and ``done`` sees
+    them in index order, so the result and the stopping point do not
+    depend on the worker count.  A draw's exception reaches the caller as
+    the serial run would raise it; side effects of a draw inside a worker
+    are lost.  Runs stay serial on one CPU, without ``fork``, inside a
+    worker and while other threads run (so a nested call never forks).
     """
-    results = [draw(rep_rng(seed, r)) for r in range(reps)]
-    while done is not None and not done(results):
-        if len(results) >= MAX_SEQUENTIAL_BATCHES * reps:
-            raise RuntimeError(f"half-width target still missed after {len(results)} replications")
-        results.extend(draw(rep_rng(seed, r)) for r in range(len(results), len(results) + reps))
+    batches = _Batches(draw, seed)
+    try:
+        results = batches.run(0, reps)
+        while done is not None and not done(results):
+            if len(results) >= MAX_SEQUENTIAL_BATCHES * reps:
+                raise RuntimeError(f"half-width target still missed after {len(results)} replications")
+            results.extend(batches.run(len(results), len(results) + reps))
+    finally:
+        batches.close()
     return results
 
 
@@ -76,6 +183,11 @@ class PointPattern:
             raise ValueError(f"declared intensity must be >= 0, got {self.intensity_declared}")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
+
+    def __reduce__(self):
+        # Rebuild through __post_init__ so an unpickled pattern (say, one a
+        # run_reps worker returned) keeps its read-only points.
+        return type(self), (self.points, self.window, self.intensity_declared)
 
     def __len__(self) -> int:
         return self.points.shape[0]

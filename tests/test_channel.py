@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from voidnet.channel import (
     SIGMA2_IN_DB,
     SIGMA_IN_DB,
     ChannelParams,
+    QuadratureError,
     WeightLaw,
     fractional_moment,
     gain_pdf,
@@ -17,6 +19,13 @@ from voidnet.channel import (
 )
 
 RAYLEIGH = ChannelParams(m=1.0, mu=0.0, sigma2=0.0, alpha=4.0)
+
+
+def test_quadrature_error_pickles():
+    error = pickle.loads(pickle.dumps(QuadratureError("no convergence", achieved_tol=1e-3)))
+    assert isinstance(error, QuadratureError)
+    assert str(error) == "no convergence (achieved tolerance 1.000e-03)"
+    assert error.achieved_tol == 1e-3
 
 
 class TestChannelParams:

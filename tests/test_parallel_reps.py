@@ -1,0 +1,183 @@
+"""``run_reps`` on worker processes returns the serial results bit for bit.
+
+Each test runs the same call with one usable CPU (serial) and with two or
+three, and requires ``==`` results.  The ``cpus`` fixture also sets the
+pool start-up cost to zero, so on two CPUs every batch of three or more
+replications forks, however cheap its draws are.
+"""
+
+import dataclasses
+import os
+
+import numpy as np
+import pytest
+
+from voidnet import harness, pointprocess
+from voidnet.association import void_probability_sweep
+from voidnet.channel import ChannelParams, QuadratureError, WeightLaw
+from voidnet.coverage import coverage_sweep
+from voidnet.geometry import SimulationWindow
+from voidnet.pointprocess import rep_rng, run_reps
+from voidnet.spatialstats import ppp_envelope, remark2_test
+
+RAYLEIGH = ChannelParams(m=1.0, mu=0.0, sigma2=0.0, alpha=4.0)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(n)`` makes ``run_reps`` see n CPUs; ``cpus.forked`` logs pool starts."""
+    fork_pool = pointprocess._Batches._fork_pool
+
+    def spy(self, *args):
+        use.forked.append(fork_pool(self, *args))
+        return use.forked[-1]
+
+    def use(n):
+        monkeypatch.setattr(pointprocess, "_usable_cpus", lambda: n)
+        monkeypatch.setattr(pointprocess, "_POOL_START_S", 0.0)
+
+    use.forked = []
+    monkeypatch.setattr(pointprocess._Batches, "_fork_pool", spy)
+    return use
+
+
+def serial_and_parallel(cpus, call, workers=2):
+    cpus(1)
+    serial = call()
+    assert not any(cpus.forked)
+    cpus(workers)
+    parallel = call()
+    assert any(cpus.forked)
+    return serial, parallel
+
+
+def same(a, b) -> bool:
+    """Field-by-field equality that also compares array fields exactly."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same, a, b))
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    return a == b
+
+
+def pid_draw(rng):
+    return os.getpid(), rng.random()
+
+
+class TestRunReps:
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_ranges_split_across_processes(self, cpus, workers):
+        serial, parallel = serial_and_parallel(cpus, lambda: run_reps(pid_draw, 61, 9), workers)
+        assert [x for _, x in parallel] == [x for _, x in serial]
+        pids = [pid for pid, _ in parallel]
+        assert pids[0] == os.getpid()  # the first replication is timed here
+        assert 2 <= len(set(pids)) <= workers  # any idle worker may take a range
+        # contiguous index ranges: each process's replications form one run
+        runs = [pid for i, pid in enumerate(pids) if i == 0 or pid != pids[i - 1]]
+        assert len(runs) == len(set(runs))
+
+    def test_sequential_stopping_sees_the_serial_lists(self, cpus):
+        def run():
+            seen = []
+
+            def done(results):
+                seen.append([x for _, x in results])
+                return len(results) >= 7
+
+            return [x for _, x in run_reps(pid_draw, 62, 3, done=done)], seen
+
+        serial, parallel = serial_and_parallel(cpus, run)
+        assert parallel == serial
+        assert [len(s) for s in parallel[1]] == [3, 6, 9]
+
+    @pytest.mark.parametrize(
+        "error, bad", [(ValueError, 0), (ValueError, 2), (ValueError, 7), (QuadratureError, 7)],
+        ids=["first", "parent-share", "worker-share", "quadrature-in-worker"],
+    )
+    def test_draw_exception_reaches_the_caller(self, cpus, error, bad):
+        # 8 reps on 2 CPUs: 0 is timed here, 1-3 run here, 4-7 on the worker.
+        rejected = rep_rng(63, bad).random()
+
+        def draw(rng):
+            x = rng.random()
+            if x == rejected:
+                raise (ValueError(f"draw {x!r} rejected") if error is ValueError
+                       else QuadratureError(f"draw {x!r} rejected", achieved_tol=1e-3))
+            return x
+
+        raised = []
+        for n in (1, 2):
+            cpus(n)
+            with pytest.raises(error) as info:
+                run_reps(draw, 63, 8)
+            raised.append((type(info.value), str(info.value), getattr(info.value, "achieved_tol", None)))
+        assert raised[0] == raised[1]
+
+    def test_nested_call_stays_serial(self, cpus):
+        cpus(2)
+
+        def outer(rng):
+            inner = run_reps(lambda inner_rng: (os.getpid(), inner_rng.random()), 64, 3)
+            return os.getpid(), inner
+
+        results = run_reps(outer, 65, 6)
+        assert {pid for pid, _ in results} != {os.getpid()}  # some ran on a worker
+        for pid, inner in results:
+            assert [x for _, x in inner] == [rep_rng(64, r).random() for r in range(3)]
+        # Replication 0 is timed before the pool exists, so its inner call
+        # may fork; every later one runs beside the open pool or in a worker.
+        for pid, inner in results[1:]:
+            assert [p for p, _ in inner] == [pid] * 3
+
+    def test_one_draw_left_stays_in_process(self, cpus):
+        # Sharing a single remaining draw saves nothing, whatever a pool costs.
+        cpus(2)
+        assert {pid for pid, _ in run_reps(pid_draw, 67, 2)} == {os.getpid()}
+        assert cpus.forked == [False]
+
+    def test_cheap_draws_stay_in_process(self, monkeypatch):
+        monkeypatch.setattr(pointprocess, "_usable_cpus", lambda: 2)
+        calls = []
+        run_reps(calls.append, 66, 50)
+        assert len(calls) == 50
+
+
+class TestExperiments:
+    def test_void_probability_sweep_with_half_width(self, cpus):
+        args = ((0.5, 1.0, 4.0), 370.0, RAYLEIGH, WeightLaw.nearest(), 4, SimulationWindow(side=2.4))
+        serial, parallel = serial_and_parallel(
+            cpus, lambda: void_probability_sweep(*args, seed=52, half_width=0.01)
+        )
+        assert parallel == serial
+        assert serial[0].reps > 4  # the half-width rule added batches
+
+    def test_coverage_sweep(self, cpus):
+        serial, parallel = serial_and_parallel(cpus, lambda: coverage_sweep(
+            (0.5, 2.0), 370.0, RAYLEIGH, WeightLaw.unit(), beta=0.8, reps=12, seed=67,
+            window=SimulationWindow(side=1.2),
+        ))
+        assert parallel == serial
+
+    def test_remark2_test(self, cpus):
+        serial, parallel = serial_and_parallel(cpus, lambda: remark2_test(
+            370.0, 185.0, RAYLEIGH, WeightLaw.nearest(), 6, SimulationWindow(side=1.2), seed=68,
+            n_envelope=39,
+        ))
+        assert same(parallel, serial)
+
+    def test_ppp_envelope(self, cpus):
+        serial, parallel = serial_and_parallel(
+            cpus, lambda: ppp_envelope(200.0, SimulationWindow(side=1.0), [0.05, 0.1, 0.2],
+                                       n_envelope=39, seed=69)
+        )
+        assert same(parallel, serial)
+
+    def test_conservation_check(self, cpus):
+        config = harness.ExperimentConfig(experiment="conservation-check", lambda_b=100.0, reps=20,
+                                          mark_law="deterministic:2", seed=70)
+        serial, parallel = serial_and_parallel(cpus, lambda: harness._conservation_rows(config))
+        assert parallel == serial

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -50,6 +52,13 @@ class TestSamplePpp:
     def test_points_outside_window_rejected(self):
         with pytest.raises(ValueError):
             PointPattern(points=np.array([[1.5, 0.5]]), window=UNIT_WINDOW, intensity_declared=1.0)
+
+    def test_unpickled_pattern_stays_read_only(self):
+        p = sample_ppp(50.0, UNIT_WINDOW, np.random.default_rng(1))
+        q = pickle.loads(pickle.dumps(p))
+        assert not q.points.flags.writeable
+        assert np.array_equal(q.points, p.points)
+        assert (q.window, q.intensity_declared) == (p.window, p.intensity_declared)
 
 
 class TestMapPattern:

@@ -2,10 +2,12 @@
 
 ``bench/spans.py`` names the functions its tracer wraps; deleting or
 renaming one of them must fail here rather than in a traced benchmark
-run.  Every name in ``voidnet.__all__`` must also resolve.
+run.  Every name in ``voidnet.__all__`` must also resolve, and importing
+the CLI must stay free of the process-pool machinery.
 """
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -46,3 +48,14 @@ def test_tracer_installs_and_uninstalls():
 def test_all_names_resolve():
     missing = [name for name in voidnet.__all__ if not hasattr(voidnet, name)]
     assert missing == []
+
+
+def test_cli_import_loads_no_pool():
+    # run_reps imports multiprocessing only when it forks, so CLI start-up
+    # does not pay for it.  A fresh interpreter: this one may have forked.
+    src = Path(voidnet.__file__).resolve().parents[1]
+    code = ("import sys, voidnet.cli; "
+            "print(sorted(m for m in ('multiprocessing', 'multiprocessing.pool') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         cwd=src, timeout=120)
+    assert out.stdout.strip() == "[]"
