@@ -36,7 +36,6 @@ from .pointprocess import (
     PointPattern,
     csr_test,
     map_pattern,
-    nearest_distance,
     sample_ppp,
 )
 from .spatialstats import KFunctionEstimate, ppp_envelope, remark2_test, ripley_k
@@ -61,7 +60,6 @@ __all__ = [
     "gain_pdf",
     "map_pattern",
     "mapped_intensity",
-    "nearest_distance",
     "ppp_envelope",
     "remark2_test",
     "rho_strongest_power",

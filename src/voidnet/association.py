@@ -251,6 +251,14 @@ def _cell_histograms(
     return run_reps(draw, seed, reps, None if half_width is None else done)
 
 
+def grid_ratios(ratio_grid) -> list[float]:
+    """A user/station ratio grid as floats; ValueError unless non-empty, finite and > 0."""
+    ratios = [float(r) for r in ratio_grid]
+    if not ratios or not all(math.isfinite(r) and r > 0 for r in ratios):
+        raise ValueError(f"ratio grid entries must be finite and > 0, got {ratios}")
+    return ratios
+
+
 def void_probability_sweep(
     ratio_grid,
     lambda_u: float,
@@ -279,9 +287,7 @@ def void_probability_sweep(
     ``reps`` is the realized, shared count.  A one-ratio grid is exactly
     :func:`void_probability_mc` at lambda_b = lambda_u / ratio.
     """
-    ratios = [float(r) for r in ratio_grid]
-    if not ratios or not all(math.isfinite(r) and r > 0 for r in ratios):
-        raise ValueError(f"ratio grid entries must be finite and > 0, got {ratios}")
+    ratios = grid_ratios(ratio_grid)
     r_top = max(ratios)
     retain = [r / r_top for r in ratios]
     hists = _cell_histograms(lambda_u / r_top, lambda_u, cp, law, reps, window, seed, half_width,

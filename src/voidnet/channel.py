@@ -215,9 +215,9 @@ def fractional_moment(cp: ChannelParams, law: WeightLaw, p: float) -> float:
 
     Under the nearest law W*H is identically 1.  Under the unit law the
     moment is Gamma(m+p) / (Gamma(m) m^p) * exp(p*mu + p^2*sigma2/2),
-    finite only for m + p > 0; divergence is reported as +inf.  A custom
-    log-normal weight contributes an independent factor
-    exp(p*mu_w + p^2*sigma2_w/2).
+    finite only for m + p > 0; divergence, and a moment past the float
+    range, is reported as +inf.  A custom log-normal weight contributes an
+    independent factor exp(p*mu_w + p^2*sigma2_w/2).
     """
     if not np.isfinite(p):
         raise ValueError("moment order must be finite")
@@ -228,7 +228,10 @@ def fractional_moment(cp: ChannelParams, law: WeightLaw, p: float) -> float:
     log_moment = _unit_law_log_moment(cp, p)
     if law.kind == LOGNORMAL:
         log_moment += p * law.mu_w + p * p * law.sigma2_w / 2.0
-    return math.exp(log_moment)
+    try:
+        return math.exp(log_moment)
+    except OverflowError:
+        return math.inf
 
 
 def zeta_dagger(cp: ChannelParams, law: WeightLaw) -> float:

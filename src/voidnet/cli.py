@@ -39,7 +39,7 @@ def _side(text: str) -> float | str:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat JSON config file; flags override its values")
     parser.add_argument("--lambda-b", type=float, dest="lambda_b", help="stations per km^2")
-    parser.add_argument("--lambda-u", type=float, dest="lambda_u", help="users per km^2 (default 370)")
+    parser.add_argument("--lambda-u", type=float, dest="lambda_u", help="users per km^2, > 0 (default 370)")
     parser.add_argument(
         "--ratio-grid",
         dest="ratio_grid",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import VORONOI_SHAPE, void_prob_rca, wilson_interval
-from .association import associate
+from .association import associate, grid_ratios
 from .channel import ChannelParams, WeightLaw, sample_gain, zeta_dagger
 from .geometry import SimulationWindow, distances_to_point
 from .pointprocess import PointPattern, run_reps, sample_ppp
@@ -244,9 +244,7 @@ def coverage_sweep(
     coverage at lambda_b = lambda_u / r, the ``lambda_b`` each row
     reports.  The all-bs SIR is the same at every ratio of a draw.
     """
-    ratios = [float(r) for r in ratio_grid]
-    if not ratios or not all(math.isfinite(r) and r > 0 for r in ratios):
-        raise ValueError(f"ratio grid entries must be finite and > 0, got {ratios}")
+    ratios = grid_ratios(ratio_grid)
     r_top = max(ratios)
     cfg = CoverageConfig(
         beta=beta,

@@ -30,7 +30,12 @@ from .analytics import (
     void_prob_nearest,
     void_prob_rca,
 )
-from .association import cell_count_pmf_mc, void_probability_mc, void_probability_sweep
+from .association import (
+    cell_count_pmf_mc,
+    grid_ratios,
+    void_probability_mc,
+    void_probability_sweep,
+)
 from .channel import (
     SIGMA2_IN_DB,
     SIGMA_IN_DB,
@@ -66,6 +71,7 @@ EXPERIMENTS = (
 MIN_EXPECTED_POINTS = 500.0
 
 DEFAULT_RATIO_GRID = (0.5, 1.0, 2.0, 4.0, 8.0)
+COVERAGE_RATIO_GRID = (0.5, 1.0, 2.0, 5.0, 10.0)
 
 
 class ConfigError(ValueError):
@@ -82,8 +88,7 @@ def auto_side(lambda_b: float, lambda_u: float, min_expected: float = MIN_EXPECT
     Sized on the sparser of the two processes and rounded up a hair so
     the expectation never dips below the floor.
     """
-    sparsest = min(x for x in (lambda_b, lambda_u) if x > 0)
-    side = math.sqrt(min_expected / sparsest)
+    side = math.sqrt(min_expected / min(lambda_b, lambda_u))
     return math.ceil(side * 1000.0) / 1000.0
 
 
@@ -172,13 +177,13 @@ class ExperimentConfig:
     def ratios(self) -> tuple[float, ...]:
         if self.ratio_grid is not None:
             return tuple(float(r) for r in self.ratio_grid)
-        if self.lambda_b is not None and self.lambda_b > 0:
+        if self.lambda_b is not None:
             return (self.lambda_u / self.lambda_b,)
-        return DEFAULT_RATIO_GRID
+        return COVERAGE_RATIO_GRID if self.experiment == "coverage" else DEFAULT_RATIO_GRID
 
     def window_for(self, lambda_b: float, lambda_u: float) -> SimulationWindow:
         if self.side == "auto":
-            return auto_window(lambda_b, lambda_u if lambda_u > 0 else lambda_b)
+            return auto_window(lambda_b, lambda_u)
         return SimulationWindow(side=float(self.side))
 
     @classmethod
@@ -282,106 +287,95 @@ def parse_mark_law(spec: str, cp: ChannelParams, law: WeightLaw):
             return (lambda rng, n: np.ones(n)), moment, spec
 
         def sampler(rng, n, cp=cp, law=law):
-            w = np.ones(n) if law.kind != "lognormal" else np.exp(
-                rng.normal(law.mu_w, math.sqrt(law.sigma2_w), size=n)
-            )
-            h = np.asarray(sample_gain(cp, rng, size=n), dtype=float).reshape(n)
-            return (w * h) ** (-1.0 / cp.alpha)
+            return (law.sample_weights(n, rng) * sample_gain(cp, rng, size=n)) ** (-1.0 / cp.alpha)
 
         return sampler, moment, spec
     raise ConfigError([f"unknown mark law {spec!r}"])
 
 
-def _finite_positive(value) -> bool:
-    """True if ``value`` reads as a finite number > 0."""
+# Fields that no object the run builds owns, with the name a diagnostic gives them.
+_POSITIVE_FIELDS = {
+    "lambda_u": "lambda_u",
+    "lambda_b": "no base stations: lambda_b",
+    "beta": "SIR threshold beta",
+    "half_width": "half-width",
+    "side": "window side",
+}
+
+
+def _built(build, diags: list[str]):
+    """``build()``, or None with its ValueError (ConfigError included) in ``diags``."""
     try:
-        value = float(value)
-    except (TypeError, ValueError):
-        return False
-    return math.isfinite(value) and value > 0
+        return build()
+    except ValueError as exc:
+        diags.append(str(exc))
+        return None
 
 
 def validate(config: ExperimentConfig) -> list[str]:
     """Collect configuration diagnostics without running anything.
 
-    Diagnostics prefixed ``warning:`` are advisory (the experiment still
-    runs); anything else blocks :func:`run` with a nonzero exit.
+    Builds what the run builds (channel, weight law, mark law, ratio grid)
+    and reports each constructor's error, so no check a constructor makes
+    is restated here.  Fields no object owns must be finite and > 0.
+    Diagnostics prefixed ``warning:`` are advisory cross-field checks, made
+    only for a config with no other diagnostic; anything else blocks
+    :func:`run` with a nonzero exit.
     """
     diags: list[str] = []
     if config.experiment not in EXPERIMENTS:
         diags.append(f"unknown experiment {config.experiment!r}")
-    # The side and reps checks below divide by these ratios.
-    ratios = config.ratios()
-    if config.ratio_grid is not None and not (
-        ratios and all(math.isfinite(r) and r > 0 for r in ratios)
-    ):
-        diags.append(f"ratio grid entries must be finite and > 0, got {list(ratios)}")
-        ratios = ()
-    if config.lambda_b is not None and config.lambda_b <= 0:
-        diags.append("no base stations: lambda_b must be > 0")
-    if config.lambda_u < 0:
-        diags.append("lambda_u must be >= 0")
-    if config.alpha <= 2:
-        diags.append("path-loss exponent must be > 2 for finite interference")
-    if config.m <= 0:
-        diags.append("Nakagami shape m must be > 0")
-    try:
-        sigma2, _ = config.shadowing()
-        if sigma2 < 0:
-            diags.append("shadowing variance must be >= 0")
-    except (ConfigError, ValueError) as exc:
-        diags.append(str(exc))
-        sigma2 = 0.0
-    try:
-        law = parse_weight_law(config.law)
-        if law.kind in ("unit", "lognormal") and config.m <= 2.0 / config.alpha:
-            diags.append(
-                f"warning: zeta-dagger divergent: m <= 2/alpha ({config.m} <= {2.0 / config.alpha:.4f}); "
-                "closed-form overlays reduce to the lower bound"
-            )
-        cp = ChannelParams(m=config.m, mu=config.mu, sigma2=sigma2, alpha=config.alpha)
-        parse_mark_law(config.mark_law, cp, law)
-    except ConfigError as exc:
-        diags.extend(exc.diagnostics)
-    except ValueError:
-        pass  # a bad channel is reported above; the mark law is checked once it is fixed
-    if config.beta <= 0:
-        diags.append("SIR threshold beta must be > 0")
+    bad = set()
+    for name, label in _POSITIVE_FIELDS.items():
+        value = getattr(config, name)
+        if value is None or value == "auto":
+            continue
+        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            bad.add(name)
+            diags.append(f"{label} must be finite and > 0, got {value!r}")
     if config.model is not None and config.model not in MODELS:
         diags.append(f"unknown interference model {config.model!r}")
     if config.fmt not in ("csv", "json"):
         diags.append(f"unknown output format {config.fmt!r}")
     if config.reps is not None and config.reps < 1:
         diags.append("reps must be >= 1")
+    if config.sets < 1:
+        diags.append("sets must be >= 1")
+    if config.seed < 0:
+        diags.append("seed must be >= 0")
     if config.grid < 2:
         diags.append("quadrat grid must be >= 2")
     if config.n_envelope < 39:
         diags.append("n_envelope must be >= 39 for a 95% envelope")
-    # The void-prob reps check below divides by the half-width and builds
-    # a window of this side, so it runs only when both are usable.
-    half_width_ok = _finite_positive(config.half_width)
-    if not half_width_ok:
-        diags.append(f"half-width must be finite and > 0, got {config.half_width!r}")
-    side_ok = config.side == "auto" or _finite_positive(config.side)
-    if not side_ok:
-        diags.append(f"window side must be 'auto' or finite and > 0, got {config.side!r}")
-    elif config.side != "auto":
-        side = float(config.side)
-        for ratio in ratios:
-            lb = config.lambda_u / ratio if config.lambda_u > 0 else (config.lambda_b or 0)
-            needed = auto_side(lb, config.lambda_u if config.lambda_u > 0 else lb)
-            if side < needed:
-                diags.append(
-                    f"warning: window side {side} km gives expected counts below "
-                    f"{MIN_EXPECTED_POINTS:.0f} at ratio {ratio}; need >= {needed} km"
-                )
-                break
-    if (config.experiment == "void-prob" and config.reps is not None and ratios
-            and side_ok and half_width_ok):
-        r_top, window = _grid_window(config, ratios)
-        lb = config.lambda_u / r_top
-        p_guess = void_prob_nearest(config.lambda_u, lb)
-        needed = suggested_reps(p_guess, lb * window.sampling_area(), config.half_width)
+    cp = _built(config.channel_params, diags)
+    law = _built(config.weight_law, diags)
+    if cp is not None and law is not None:
+        _built(lambda: parse_mark_law(config.mark_law, cp, law), diags)
+    # Without a grid the ratio is lambda_u / lambda_b, so it waits for both.
+    if config.ratio_grid is not None or not bad & {"lambda_u", "lambda_b"}:
+        ratios = _built(lambda: grid_ratios(config.ratios()), diags)
+    if config.experiment in ("cell-pmf", "remark2") and len(config.ratio_grid or ()) > 1:
+        diags.append(f"{config.experiment} runs one ratio, got the grid {list(config.ratio_grid)}")
+    if diags:
+        return diags
+
+    zd = zeta_dagger(cp, law)
+    if math.isinf(zd):
+        diags.append(
+            f"warning: zeta-dagger divergent (m <= 2/alpha, or moments past the float range): "
+            f"m = {config.m}, 2/alpha = {2.0 / config.alpha:.4f}; "
+            "closed-form overlays reduce to the lower bound"
+        )
+    # The largest ratio has the fewest stations, so it needs the largest window.
+    r_top, window = _grid_window(config, ratios)
+    needed = auto_side(config.lambda_u / r_top, config.lambda_u)
+    if window.side < needed:
+        diags.append(
+            f"warning: window side {window.side} km gives expected counts below "
+            f"{MIN_EXPECTED_POINTS:.0f} at ratio {r_top}; need >= {needed} km"
+        )
+    if config.experiment == "void-prob" and config.reps is not None:
+        needed = _first_batch(config, zd, r_top, window)
         if config.reps < needed:
             diags.append(
                 f"warning: reps={config.reps} too small for half-width {config.half_width}; "
@@ -405,6 +399,19 @@ def _grid_window(config: ExperimentConfig, ratios) -> tuple[float, SimulationWin
     return r_top, config.window_for(config.lambda_u / r_top, config.lambda_u)
 
 
+def _first_batch(config: ExperimentConfig, zd: float, r_top: float, window: SimulationWindow) -> int:
+    """Replications in the first batch of an auto-rep void-prob run.
+
+    :func:`suggested_reps` on the gamma-area void guess at r_top, with
+    shape rho = 3.5 * zeta-dagger (3.5 where that is not finite).
+    """
+    lambda_b_top = config.lambda_u / r_top
+    rho = VORONOI_SHAPE * zd
+    p_guess = void_prob_rca(config.lambda_u, lambda_b_top,
+                            rho if math.isfinite(rho) else VORONOI_SHAPE)
+    return suggested_reps(p_guess, lambda_b_top * window.sampling_area(), config.half_width)
+
+
 def _void_prob_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
     cp = config.channel_params()
     law = config.weight_law()
@@ -412,15 +419,10 @@ def _void_prob_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
     rho = VORONOI_SHAPE * zd if math.isfinite(zd) else math.inf
     ratios = config.ratios()
     r_top, window = _grid_window(config, ratios)
-    lambda_b_top = config.lambda_u / r_top
     if config.reps:
         reps, target = config.reps, None
     else:
-        p_guess = void_prob_rca(
-            config.lambda_u, lambda_b_top, rho if math.isfinite(rho) else VORONOI_SHAPE
-        )
-        reps = suggested_reps(p_guess, lambda_b_top * window.sampling_area(), config.half_width)
-        target = config.half_width
+        reps, target = _first_batch(config, zd, r_top, window), config.half_width
     estimates = void_probability_sweep(
         ratios, config.lambda_u, cp, law, reps, window, config.seed, half_width=target
     )
@@ -629,7 +631,7 @@ def _coverage_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
     law = config.weight_law()
     models = MODELS if config.model is None else (config.model,)
     reps = config.reps or 400
-    ratios = config.ratios() if config.ratio_grid is not None else (0.5, 1.0, 2.0, 5.0, 10.0)
+    ratios = config.ratios()
     r_top, window = _grid_window(config, ratios)
     results = coverage_sweep(
         ratios,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .geometry import SimulationWindow, distances_to_point, uniform_points
+from .geometry import SimulationWindow, uniform_points
 
 
 def rep_rng(seed: int, index: int) -> np.random.Generator:
@@ -274,14 +274,6 @@ def mark_expansion_factor(
     droppable = int(np.searchsorted(contribution, rel_tail * contribution[-1]))
     t_star = float(t[min(droppable, len(t) - 1)])
     return max(1.0, 1.0 / t_star)
-
-
-def nearest_distance(origin, pattern: PointPattern, window: SimulationWindow | None = None) -> float:
-    """Distance from ``origin`` to the closest point of the pattern."""
-    if len(pattern) == 0:
-        raise ValueError("pattern is empty; nearest distance undefined")
-    w = pattern.window if window is None else window
-    return float(np.min(distances_to_point(pattern.points, origin, w)))
 
 
 @dataclass(frozen=True)

@@ -134,6 +134,10 @@ class TestFractionalMoment:
         cp = ChannelParams(m=0.4, mu=0.0, sigma2=0.0, alpha=4.0)
         assert math.isinf(fractional_moment(cp, WeightLaw.unit(), -0.5))
 
+    def test_past_float_range_is_inf(self):
+        cp = ChannelParams(m=1.0, mu=0.0, sigma2=1e4, alpha=4.0)
+        assert math.isinf(fractional_moment(cp, WeightLaw.unit(), 0.5))
+
     def test_lognormal_weight_factor(self):
         cp = ChannelParams(m=1.0, mu=0.0, sigma2=0.0, alpha=4.0)
         p = 0.5

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -24,6 +25,21 @@ from voidnet.harness import (
 
 def fatal(diags):
     return [d for d in diags if not d.startswith("warning:")]
+
+
+def _float_field_cases():
+    """(field, value) for every float-valued config field and each edge value."""
+    hints = typing.get_type_hints(ExperimentConfig)
+    for f in dataclasses.fields(ExperimentConfig):
+        options = typing.get_args(hints[f.name]) or (hints[f.name],)
+        if float in options:
+            wrap = float
+        elif tuple[float, ...] in options:
+            wrap = lambda v: (v,)
+        else:
+            continue
+        for value in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+            yield pytest.param(f.name, wrap(value), id=f"{f.name}={value}")
 
 
 class TestValidate:
@@ -84,6 +100,28 @@ class TestValidate:
     def test_unparsable_side_from_config_file(self):
         cfg = ExperimentConfig(experiment="void-prob", side="abc", reps=4)
         assert any("window side" in d for d in fatal(validate(cfg)))
+
+    @pytest.mark.parametrize("field,value", list(_float_field_cases()))
+    def test_float_field_rejected_or_runs(self, field, value, tmp_path):
+        # Every float field's edge value is either a diagnostic or harmless.
+        cfg = ExperimentConfig(experiment="formulas", out=str(tmp_path / "f.csv"),
+                               **{field: value})
+        if not fatal(validate(cfg)):
+            run(cfg)
+
+    def test_huge_shadowing_is_a_warning(self):
+        cfg = ExperimentConfig(experiment="void-prob", law="unit", sigma2_ln=1e4)
+        assert any("zeta-dagger divergent" in d for d in validate(cfg))
+        assert fatal(validate(cfg)) == []
+
+    def test_fatal_config_gets_no_warning(self):
+        cfg = ExperimentConfig(experiment="void-prob", ratio_grid=(2.0,), reps=0)
+        assert validate(cfg) == ["reps must be >= 1"]
+
+    @pytest.mark.parametrize("experiment", ["cell-pmf", "remark2"])
+    def test_one_ratio_experiments_reject_a_grid(self, experiment):
+        assert fatal(validate(ExperimentConfig(experiment=experiment, ratio_grid=(0.5, 8.0))))
+        assert validate(ExperimentConfig(experiment=experiment, ratio_grid=(0.5,))) == []
 
     def test_two_shadowing_specs_rejected(self):
         cfg = ExperimentConfig(experiment="formulas", sigma_db=8.0, sigma2_db=8.0)
@@ -242,6 +280,12 @@ class TestRunExperiments:
             assert row["lambda_b"] * row["side"] ** 2 == pytest.approx(
                 370.0 / 20.0 * meta["result.side_top"] ** 2)
 
+    def test_coverage_ratio_from_intensities(self, tmp_path):
+        out = tmp_path / "a.json"
+        run(ExperimentConfig(experiment="coverage", lambda_b=185.0, reps=5, model="void-aware",
+                             fmt="json", out=str(out)))
+        assert [r["ratio"] for r in json.loads(out.read_text())["rows"]] == [2.0]
+
     def test_coverage_metadata(self, tmp_path):
         out = tmp_path / "a.json"
         run(ExperimentConfig(experiment="coverage", ratio_grid=(0.5, 4.0), reps=5, fmt="json",
@@ -249,6 +293,21 @@ class TestRunExperiments:
         meta = json.loads(out.read_text())["metadata"]
         assert (meta["result.r_top"], meta["result.reps"], meta["result.batches"]) == (4.0, 5, 1)
         assert meta["result.side_top"] == auto_side(370.0 / 4.0, 370.0)
+
+    def test_first_batch_matches_validate_suggestion(self, tmp_path, monkeypatch):
+        # validate's reps warning and the auto-rep run size the first batch alike.
+        calls = []
+
+        def fake_sweep(ratios, *args, half_width=None):
+            calls.append(args[3])
+            return [EstimateWithCI(value=0.2, ci_low=0.19, ci_high=0.21, reps=args[3],
+                                   seed=args[-1]) for _ in ratios]
+
+        monkeypatch.setattr(harness, "void_probability_sweep", fake_sweep)
+        base = dict(experiment="void-prob", law="unit", sigma_db=8.0, ratio_grid=(0.5, 2.0))
+        [warning] = validate(ExperimentConfig(reps=1, **base))
+        run(ExperimentConfig(out=str(tmp_path / "a.csv"), **base))
+        assert calls == [int(warning.rsplit(">= ", 1)[1])]
 
     def test_cell_pmf_passes_half_width_for_auto_reps(self, tmp_path, monkeypatch):
         calls = []
@@ -354,10 +413,19 @@ class TestCli:
         ["void-prob", "--side", "-1", "--reps", "4"],
         ["void-prob", "--side", "nan"],
         ["void-prob", "--side", "inf"],
+        ["formulas", "--lambda-u", "0", "--lambda-b", "100"],
+        ["void-prob", "--lambda-u", "0", "--lambda-b", "100"],
+        ["bounds-check", "--sets", "0"],
+        ["coverage", "--beta", "nan"],
+        ["cell-pmf", "--ratio-grid", "0.5,8", "--reps", "2"],
+        ["remark2", "--ratio-grid", "0.5,8", "--reps", "2"],
+        ["void-prob", "--seed", "-1", "--reps", "2"],
     ], ids=["remark2-n-envelope", "conservation-mark-law", "formulas-zero-ratio",
             "void-prob-negative-ratio", "void-prob-zero-half-width",
             "void-prob-negative-half-width", "void-prob-nan-half-width",
-            "void-prob-negative-side", "void-prob-nan-side", "void-prob-inf-side"])
+            "void-prob-negative-side", "void-prob-nan-side", "void-prob-inf-side",
+            "formulas-no-users", "void-prob-no-users", "bounds-check-no-sets",
+            "coverage-nan-beta", "cell-pmf-grid", "remark2-grid", "void-prob-negative-seed"])
     def test_config_errors_exit_two(self, argv, tmp_path, capsys):
         assert cli_main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
         assert "config error:" in capsys.readouterr().err

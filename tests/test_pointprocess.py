@@ -11,13 +11,17 @@ from voidnet.pointprocess import (
     map_pattern,
     mark_expansion_factor,
     MAX_SEQUENTIAL_BATCHES,
-    nearest_distance,
     rep_rng,
     run_reps,
     sample_ppp,
 )
 
 UNIT_WINDOW = SimulationWindow(side=1.0)
+
+
+def nearest_distance(origin, pattern: PointPattern) -> float:
+    """Distance from ``origin`` to the pattern's closest point; ValueError if it is empty."""
+    return float(distances_to_point(pattern.points, origin, pattern.window).min())
 
 
 class TestSamplePpp:
