@@ -30,7 +30,7 @@ from .association import (
     void_probability_sweep,
 )
 from .channel import ChannelParams, WeightLaw, fractional_moment, gain_pdf, sample_gain, zeta_dagger
-from .coverage import CoverageConfig, coverage_sweep, sir_at_typical_user
+from .coverage import coverage_sweep, sir_at_typical_user
 from .geometry import SimulationWindow, distance
 from .pointprocess import (
     PointPattern,
@@ -43,7 +43,6 @@ from .spatialstats import KFunctionEstimate, ppp_envelope, remark2_test, ripley_
 __all__ = [
     "AssociationOutcome",
     "ChannelParams",
-    "CoverageConfig",
     "EstimateWithCI",
     "KFunctionEstimate",
     "PointPattern",

@@ -227,15 +227,14 @@ def _cell_histograms(
     ``half_width`` target applies to the pooled void fraction at every
     retention probability in ``retain`` (bin 0 over the sum at p = 1).
     """
-    if reps < 1:
-        raise ValueError("need at least one replication")
     if lambda_b <= 0:
         raise ValueError("lambda_b must be > 0")
     if half_width is not None and not half_width > 0:
         raise ValueError(f"half_width must be > 0, got {half_width}")
     if np.isinf(zeta_dagger(cp, law)):
         warnings.warn(
-            "moment product E[(WH)^(2/a)]E[(WH)^(-2/a)] diverges (m <= 2/alpha); "
+            "moment product E[(WH)^(2/a)]E[(WH)^(-2/a)] diverges (m <= 2/alpha, or moments "
+            "past the float range); "
             "closed-form void expressions are inapplicable, only the "
             "exp(-lambda_u/lambda_b) lower bound remains",
             stacklevel=3,

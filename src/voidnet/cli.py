@@ -64,11 +64,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--law", help="association weighting: nearest | unit | lognormal:MU,SIGMA2"
     )
     parser.add_argument("--beta", type=float, help="SIR threshold (coverage)")
-    parser.add_argument(
-        "--model",
-        choices=MODELS,
-        help="interference model (coverage; default: all three)",
-    )
+    parser.add_argument("--model", help=f"coverage interference model: {' | '.join(MODELS)} "
+                                         "(default: all three)")
     parser.add_argument("--reps", type=int, help="replications / suites (default: auto)")
     parser.add_argument("--sets", type=int, help="parameter sets for bounds-check (default 50)")
     parser.add_argument("--side", type=_side,
@@ -78,7 +75,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "side at their own station intensity")
     parser.add_argument("--seed", type=int, help="master seed (default 1)")
     parser.add_argument("--out", help="output file path")
-    parser.add_argument("--format", dest="fmt", choices=["csv", "json"], help="output format")
+    parser.add_argument("--format", dest="fmt", help="output format: csv | json (default csv)")
     parser.add_argument("--half-width", type=float, dest="half_width",
                         help="target 95%% CI half-width for auto reps; void-prob (at "
                              "every grid ratio, on shared replications) and cell-pmf (on "

@@ -6,6 +6,11 @@ the interfering set chosen per model: every other station ("all-bs", the
 void-blind baseline), only stations that actually serve someone
 ("void-aware"), or an independent thinning at the analytic non-void
 probability ("thinned-ppp").
+
+:func:`sir_samples` is the one sampler: a replication draws and
+associates one network at the largest ratio of a grid, and every ratio
+and model is read off that draw.  :func:`coverage_sweep` thresholds its
+SIRs at beta and adds Wilson intervals.
 """
 
 from __future__ import annotations
@@ -25,29 +30,6 @@ ALL_BS = "all-bs"
 VOID_AWARE = "void-aware"
 THINNED_PPP = "thinned-ppp"
 MODELS = (ALL_BS, VOID_AWARE, THINNED_PPP)
-
-
-@dataclass(frozen=True)
-class CoverageConfig:
-    """One coverage experiment: threshold, intensities, channel, model."""
-
-    beta: float
-    lambda_b: float
-    lambda_u: float
-    channel: ChannelParams
-    law: WeightLaw
-    model: str
-    reps: int
-
-    def __post_init__(self) -> None:
-        if self.beta <= 0:
-            raise ValueError("SIR threshold must be > 0")
-        if self.model not in MODELS:
-            raise ValueError(f"unknown interference model {self.model!r}")
-        if self.reps < 1:
-            raise ValueError("need at least one replication")
-        if self.lambda_b <= 0 or self.lambda_u < 0:
-            raise ValueError("need lambda_b > 0 and lambda_u >= 0")
 
 
 @dataclass(frozen=True)
@@ -166,45 +148,42 @@ def sample_realization(
     return pairs
 
 
-def _coupled_sirs(
-    cfg: CoverageConfig,
-    window: SimulationWindow,
-    seed: int,
-    keep_probs,
-    retain,
-    models: tuple[str, ...],
-) -> list[tuple[dict[str, np.ndarray], float]]:
-    """Per retention probability: SIR draws by model and mean near-tie fraction."""
-
-    def draw(rng: np.random.Generator) -> list[tuple[list[float], float]]:
-        pairs = sample_realization(
-            cfg.lambda_b, cfg.lambda_u, cfg.channel, cfg.law, window, rng, keep_probs, retain
-        )
-        return [([sir_at_typical_user(real, m) for m in models], tie) for real, tie in pairs]
-
-    results = run_reps(draw, seed, cfg.reps)
-    out = []
-    for j in range(len(retain)):
-        sirs = np.array([rep[j][0] for rep in results])
-        out.append((dict(zip(models, sirs.T)), float(np.mean([rep[j][1] for rep in results]))))
-    return out
-
-
 def sir_samples(
-    cfg: CoverageConfig,
+    ratio_grid,
+    lambda_u: float,
+    cp: ChannelParams,
+    law: WeightLaw,
+    reps: int,
     window: SimulationWindow,
     seed: int,
     models: tuple[str, ...] = MODELS,
-) -> tuple[dict[str, np.ndarray], float]:
-    """SIR draws for several models on shared random realizations.
+) -> list[tuple[dict[str, np.ndarray], float]]:
+    """Per grid ratio: SIR draws by model and the mean near-tie fraction.
 
-    Because the models only differ in which interferers transmit, running
-    them on identical realizations makes dominance comparisons exact:
-    the void-aware SIR is never below the all-bs SIR.  This is the
-    one-ratio case of :func:`coverage_sweep`.
+    Each replication draws one network at r_top = max(ratio_grid),
+    stations at lambda_u / r_top and users at lambda_u on ``window``, and
+    associates it once; ratio r keeps each user with probability r / r_top
+    (:func:`sample_realization`).  The SIR depends on the intensities only
+    through their ratio, so that is the network at lambda_b = lambda_u / r.
+    The models differ only in which interferers transmit, so on shared
+    draws dominance comparisons are exact: the void-aware SIR is never
+    below the all-bs SIR, which is the same at every ratio of a draw.
     """
-    keep_prob = thinning_keep_probability(cfg.lambda_b, cfg.lambda_u, cfg.channel, cfg.law)
-    return _coupled_sirs(cfg, window, seed, (keep_prob,), (1.0,), models)[0]
+    ratios = grid_ratios(ratio_grid)
+    r_top = max(ratios)
+    keep_probs = [thinning_keep_probability(lambda_u / r, lambda_u, cp, law) for r in ratios]
+    retain = [r / r_top for r in ratios]
+
+    def draw(rng: np.random.Generator) -> list[tuple[list[float], float]]:
+        pairs = sample_realization(lambda_u / r_top, lambda_u, cp, law, window, rng, keep_probs, retain)
+        return [([sir_at_typical_user(real, m) for m in models], tie) for real, tie in pairs]
+
+    results = run_reps(draw, seed, reps)
+    out = []
+    for j in range(len(ratios)):
+        sirs = np.array([rep[j][0] for rep in results])
+        out.append((dict(zip(models, sirs.T)), float(np.mean([rep[j][1] for rep in results]))))
+    return out
 
 
 @dataclass(frozen=True)
@@ -213,10 +192,9 @@ class CoverageRow:
 
     ratio: float
     lambda_b: float
-    lambda_u: float
     model: str
     beta: float
-    estimate: float
+    coverage: float
     ci_low: float
     ci_high: float
     reps: int
@@ -230,51 +208,24 @@ def coverage_sweep(
     law: WeightLaw,
     beta: float,
     reps: int,
-    seed: int,
     window: SimulationWindow,
+    seed: int,
     models: tuple[str, ...] = MODELS,
 ) -> list[CoverageRow]:
-    """Coverage across a ratio grid, all models and ratios coupled per replication.
+    """P(SIR >= beta) with a Wilson interval, per grid ratio and model.
 
-    Each replication draws one network at r_top = max(ratio_grid),
-    stations at lambda_u / r_top and users at lambda_u on ``window`` (the
-    CLI sizes it for r_top), and associates it once.  Ratio r keeps each
-    user with probability r / r_top (:func:`sample_realization`).  The SIR
-    depends on the intensities only through their ratio, so that is
-    coverage at lambda_b = lambda_u / r, the ``lambda_b`` each row
-    reports.  The all-bs SIR is the same at every ratio of a draw.
+    The SIRs come from :func:`sir_samples`, so all models and ratios share
+    each replication; ``window`` should be sized for the largest ratio.
+    Row ``lambda_b`` is lambda_u / ratio.
     """
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError(f"SIR threshold beta must be finite and > 0, got {beta}")
     ratios = grid_ratios(ratio_grid)
-    r_top = max(ratios)
-    cfg = CoverageConfig(
-        beta=beta,
-        lambda_b=lambda_u / r_top,
-        lambda_u=lambda_u,
-        channel=cp,
-        law=law,
-        model=models[0],
-        reps=reps,
-    )
-    keep_probs = [thinning_keep_probability(lambda_u / r, lambda_u, cp, law) for r in ratios]
-    retain = [r / r_top for r in ratios]
-    samples = _coupled_sirs(cfg, window, seed, keep_probs, retain, models)
     rows = []
-    for ratio, (sirs, tie) in zip(ratios, samples):
+    for ratio, (sirs, tie) in zip(ratios, sir_samples(ratios, lambda_u, cp, law, reps, window,
+                                                      seed, models)):
         for m in models:
             covered = float(np.mean(sirs[m] >= beta))
             lo, hi = wilson_interval(covered, reps)
-            rows.append(
-                CoverageRow(
-                    ratio=ratio,
-                    lambda_b=lambda_u / ratio,
-                    lambda_u=lambda_u,
-                    model=m,
-                    beta=beta,
-                    estimate=covered,
-                    ci_low=lo,
-                    ci_high=hi,
-                    reps=reps,
-                    near_tie_fraction=tie,
-                )
-            )
+            rows.append(CoverageRow(ratio, lambda_u / ratio, m, beta, covered, lo, hi, reps, tie))
     return rows

@@ -70,6 +70,10 @@ EXPERIMENTS = (
 
 MIN_EXPECTED_POINTS = 500.0
 
+# Assumed variance inflation of a pooled void fraction over the binomial
+# one, from the correlation of cells within a replication.
+DESIGN_EFFECT = 2.0
+
 DEFAULT_RATIO_GRID = (0.5, 1.0, 2.0, 4.0, 8.0)
 COVERAGE_RATIO_GRID = (0.5, 1.0, 2.0, 5.0, 10.0)
 
@@ -96,23 +100,18 @@ def auto_window(lambda_b: float, lambda_u: float, min_expected: float = MIN_EXPE
     return SimulationWindow(side=auto_side(lambda_b, lambda_u, min_expected))
 
 
-def suggested_reps(
-    p_guess: float,
-    expected_stations: float,
-    half_width: float,
-    design_effect: float = 2.0,
-) -> int:
+def suggested_reps(p_guess: float, expected_stations: float, half_width: float) -> int:
     """Replications for a target 95% half-width on a pooled void fraction.
 
     Inverts the Wilson/normal half-width z * sqrt(var); the
     per-replication variance is the binomial one over the expected
-    station count, inflated by a design effect for within-replication
+    station count, inflated by ``DESIGN_EFFECT`` for within-replication
     correlation.  This is an a-priori guess, so it cannot promise the
     half-width a run reaches; ``void-prob`` and ``cell-pmf`` use it as the
     first batch of a sequential run that stops once the target is met.
     """
     p = min(max(p_guess, 0.02), 0.98)
-    var_rep = design_effect * p * (1.0 - p) / max(expected_stations, 1.0)
+    var_rep = DESIGN_EFFECT * p * (1.0 - p) / max(expected_stations, 1.0)
     return max(8, math.ceil(var_rep * (Z_95 / half_width) ** 2))
 
 
@@ -352,10 +351,12 @@ def validate(config: ExperimentConfig) -> list[str]:
     if cp is not None and law is not None:
         _built(lambda: parse_mark_law(config.mark_law, cp, law), diags)
     # Without a grid the ratio is lambda_u / lambda_b, so it waits for both.
+    ratios = None
     if config.ratio_grid is not None or not bad & {"lambda_u", "lambda_b"}:
         ratios = _built(lambda: grid_ratios(config.ratios()), diags)
-    if config.experiment in ("cell-pmf", "remark2") and len(config.ratio_grid or ()) > 1:
-        diags.append(f"{config.experiment} runs one ratio, got the grid {list(config.ratio_grid)}")
+    if config.experiment in ("cell-pmf", "remark2") and len(ratios or ()) > 1:
+        diags.append(f"{config.experiment} runs one ratio (a one-entry ratio grid, or lambda_b), "
+                     f"got the grid {ratios}")
     if diags:
         return diags
 
@@ -393,7 +394,8 @@ def _grid_window(config: ExperimentConfig, ratios) -> tuple[float, SimulationWin
     """(r_top, window) of a ratio grid's one draw per replication.
 
     Stations are drawn at lambda_u / r_top, with r_top the largest grid
-    ratio, in the window the auto rule (or ``side``) gives there.
+    ratio, in the window the auto rule (or ``side``) gives there.  A
+    one-ratio experiment gets its ratio and window this way.
     """
     r_top = max(ratios)
     return r_top, config.window_for(config.lambda_u / r_top, config.lambda_u)
@@ -458,9 +460,8 @@ def _void_prob_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
 def _cell_pmf_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
     cp = config.channel_params()
     law = config.weight_law()
-    ratio = config.ratios()[0]
+    ratio, window = _grid_window(config, config.ratios())
     lambda_b = config.lambda_u / ratio
-    window = config.window_for(lambda_b, config.lambda_u)
     reps = config.reps or suggested_reps(
         void_prob_nearest(config.lambda_u, lambda_b),
         lambda_b * window.sampling_area(),
@@ -592,9 +593,8 @@ def _conservation_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
 def _remark2_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
     cp = config.channel_params()
     law = config.weight_law()
-    ratio = config.ratios()[0]
+    ratio, window = _grid_window(config, config.ratios())
     lambda_b = config.lambda_u / ratio
-    window = config.window_for(lambda_b, config.lambda_u)
     reps = config.reps or 40
     report = remark2_test(
         lambda_b, config.lambda_u, cp, law, reps, window, config.seed,
@@ -633,31 +633,9 @@ def _coverage_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
     reps = config.reps or 400
     ratios = config.ratios()
     r_top, window = _grid_window(config, ratios)
-    results = coverage_sweep(
-        ratios,
-        config.lambda_u,
-        cp,
-        law,
-        config.beta,
-        reps,
-        config.seed,
-        window,
-        models=models,
-    )
-    rows = [
-        {
-            "ratio": r.ratio,
-            "lambda_b": r.lambda_b,
-            "model": r.model,
-            "beta": r.beta,
-            "coverage": r.estimate,
-            "ci_low": r.ci_low,
-            "ci_high": r.ci_high,
-            "reps": r.reps,
-            "near_tie_fraction": r.near_tie_fraction,
-        }
-        for r in results
-    ]
+    results = coverage_sweep(ratios, config.lambda_u, cp, law, config.beta, reps, window,
+                             config.seed, models)
+    rows = [asdict(r) for r in results]
     meta = {"models": ",".join(models), "r_top": r_top, "side_top": window.side,
             "reps": reps, "batches": 1}
     return rows, meta

@@ -143,7 +143,10 @@ def run_reps(draw, seed: int, reps: int, done=None) -> list:
     the serial run would raise it; side effects of a draw inside a worker
     are lost.  Runs stay serial on one CPU, without ``fork``, inside a
     worker and while other threads run (so a nested call never forks).
+    Raises :class:`ValueError` for ``reps < 1`` before any draw.
     """
+    if reps < 1:
+        raise ValueError(f"need at least one replication, got reps={reps}")
     batches = _Batches(draw, seed)
     try:
         results = batches.run(0, reps)

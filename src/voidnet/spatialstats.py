@@ -147,8 +147,6 @@ def remark2_test(
     pattern is then nearly the full PPP and only the false-positive floor
     remains.
     """
-    if reps < 1:
-        raise ValueError("need at least one replication")
     r = default_radii(window) if radii is None else np.atleast_1d(np.asarray(radii, dtype=float))
 
     def draw(rng: np.random.Generator) -> tuple[PointPattern, int, int]:

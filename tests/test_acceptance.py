@@ -26,7 +26,7 @@ from voidnet.channel import (
     shadowing_sigma2_from_db,
     zeta_dagger,
 )
-from voidnet.coverage import ALL_BS, MODELS, THINNED_PPP, VOID_AWARE, CoverageConfig, sir_samples
+from voidnet.coverage import ALL_BS, MODELS, THINNED_PPP, VOID_AWARE, sir_samples
 from voidnet.geometry import SimulationWindow, distances_to_point
 from voidnet.harness import ExperimentConfig, _bounds_check_rows, auto_window, suggested_reps
 from voidnet.pointprocess import (
@@ -311,10 +311,8 @@ def test_criterion_8_coverage_model_orderings():
     failures = []
 
     def coverage_at(ratio, seed):
-        lambda_b = LAMBDA_U / ratio
-        cfg = CoverageConfig(beta=beta, lambda_b=lambda_b, lambda_u=LAMBDA_U, channel=cp,
-                             law=law, model=VOID_AWARE, reps=reps)
-        sirs, _ = sir_samples(cfg, auto_window(lambda_b, LAMBDA_U), seed=seed)
+        window = auto_window(LAMBDA_U / ratio, LAMBDA_U)
+        [(sirs, _)] = sir_samples((ratio,), LAMBDA_U, cp, law, reps, window, seed)
         est = {m: float(np.mean(sirs[m] >= beta)) for m in MODELS}
         se = {m: math.sqrt(max(est[m] * (1 - est[m]), 1e-12) / reps) for m in MODELS}
         return est, se

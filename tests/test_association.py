@@ -178,6 +178,11 @@ class TestVoidProbabilityMc:
         with pytest.warns(UserWarning, match="diverges"):
             void_probability_mc(50.0, 100.0, cp, WeightLaw.unit(), 2,
                                 SimulationWindow(side=2.0), seed=3)
+        # m > 2/alpha, but the moments overflow the float range
+        overflow = ChannelParams(m=1.0, mu=0.0, sigma2=1e4, alpha=4.0)
+        with pytest.warns(UserWarning, match="diverges .*float range"):
+            void_probability_mc(50.0, 100.0, overflow, WeightLaw.unit(), 2,
+                                SimulationWindow(side=2.0), seed=3)
 
     def test_reps_validated(self):
         with pytest.raises(ValueError):

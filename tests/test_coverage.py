@@ -11,7 +11,6 @@ from voidnet.coverage import (
     MODELS,
     THINNED_PPP,
     VOID_AWARE,
-    CoverageConfig,
     SirRealization,
     coverage_sweep,
     sample_realization,
@@ -85,14 +84,13 @@ class TestSampleRealization:
 
 class TestSirSamples:
     def test_replication_r_runs_on_rep_rng_stream_r(self):
-        cfg = CoverageConfig(beta=0.8, lambda_b=100.0, lambda_u=200.0, channel=RAYLEIGH,
-                             law=WeightLaw.unit(), model=VOID_AWARE, reps=4)
+        law = WeightLaw.unit()
         window = SimulationWindow(side=2.0)
-        sirs, tie = sir_samples(cfg, window, seed=43)
-        keep_prob = thinning_keep_probability(100.0, 200.0, RAYLEIGH, cfg.law)
+        [(sirs, tie)] = sir_samples((2.0,), 200.0, RAYLEIGH, law, 4, window, seed=43)
+        keep_prob = thinning_keep_probability(100.0, 200.0, RAYLEIGH, law)
         ties = []
-        for r in range(cfg.reps):
-            [(real, t)] = sample_realization(100.0, 200.0, RAYLEIGH, cfg.law, window,
+        for r in range(4):
+            [(real, t)] = sample_realization(100.0, 200.0, RAYLEIGH, law, window,
                                              rep_rng(43, r), (keep_prob,))
             ties.append(t)
             for m in MODELS:
@@ -102,10 +100,9 @@ class TestSirSamples:
 
 @pytest.fixture(scope="module")
 def samples():
-    cfg = CoverageConfig(beta=0.8, lambda_b=185.0, lambda_u=370.0, channel=RAYLEIGH,
-                         law=WeightLaw.nearest(), model=VOID_AWARE, reps=300)
     window = SimulationWindow(side=1.645)
-    return sir_samples(cfg, window, seed=42)
+    [pair] = sir_samples((2.0,), 370.0, RAYLEIGH, WeightLaw.nearest(), 300, window, seed=42)
+    return pair
 
 
 class TestCoverageProbability:
@@ -125,18 +122,25 @@ class TestCoverageProbability:
         assert np.mean(sirs[ALL_BS] >= 1e12) == 0.0
 
     def test_no_users_void_aware_always_covered(self):
-        cfg = CoverageConfig(beta=5.0, lambda_b=150.0, lambda_u=0.0, channel=RAYLEIGH,
-                             law=WeightLaw.nearest(), model=VOID_AWARE, reps=20)
-        sirs, _ = sir_samples(cfg, SimulationWindow(side=2.0), seed=44, models=(VOID_AWARE,))
-        assert np.all(sirs[VOID_AWARE] >= cfg.beta)
+        # lambda_u = 0 has no user/station ratio, so this draws realizations directly.
+        beta = 5.0
+        window = SimulationWindow(side=2.0)
+        sirs = np.array([
+            sir_at_typical_user(real, VOID_AWARE)
+            for r in range(20)
+            for real, _ in sample_realization(150.0, 0.0, RAYLEIGH, WeightLaw.nearest(), window,
+                                              rep_rng(44, r), keep_probs=(1.0,))
+        ])
+        assert np.all(sirs >= beta)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            CoverageConfig(beta=0.0, lambda_b=1.0, lambda_u=1.0, channel=RAYLEIGH,
-                           law=WeightLaw.nearest(), model=ALL_BS, reps=10)
-        with pytest.raises(ValueError):
-            CoverageConfig(beta=1.0, lambda_b=1.0, lambda_u=1.0, channel=RAYLEIGH,
-                           law=WeightLaw.nearest(), model="nobody", reps=10)
+        # coverage_sweep rejects a threshold that is not finite and > 0, and an unknown model.
+        window = SimulationWindow(side=1.0)
+        for beta, models in [(0.0, MODELS), (-1.0, MODELS), (math.nan, MODELS),
+                             (math.inf, MODELS), (1.0, ("nobody",))]:
+            with pytest.raises(ValueError):
+                coverage_sweep((2.0,), 370.0, RAYLEIGH, WeightLaw.nearest(), beta, 2, window,
+                               seed=45, models=models)
 
 
 class TestThinning:
@@ -152,7 +156,7 @@ class TestThinning:
         assert len(rows) == 3
         assert {r.model for r in rows} == set(MODELS)
         for r in rows:
-            assert r.ci_low <= r.estimate <= r.ci_high
+            assert r.ci_low <= r.coverage <= r.ci_high
             assert r.lambda_b == pytest.approx(185.0)
 
 
@@ -179,11 +183,9 @@ class TestCoupledSweep:
         window = SimulationWindow(side=1.645)
         rows = coverage_sweep((2.0,), 370.0, RAYLEIGH, WeightLaw.unit(), beta=0.8, reps=30,
                               seed=47, window=window)
-        cfg = CoverageConfig(beta=0.8, lambda_b=185.0, lambda_u=370.0, channel=RAYLEIGH,
-                             law=WeightLaw.unit(), model=ALL_BS, reps=30)
-        sirs, tie = sir_samples(cfg, window, seed=47)
+        [(sirs, tie)] = sir_samples((2.0,), 370.0, RAYLEIGH, WeightLaw.unit(), 30, window, seed=47)
         for row in rows:
-            assert row.estimate == float(np.mean(sirs[row.model] >= 0.8))
+            assert row.coverage == float(np.mean(sirs[row.model] >= 0.8))
             assert row.near_tie_fraction == tie
 
     def test_top_ratio_rows_equal_its_own_sweep(self):
@@ -192,6 +194,6 @@ class TestCoupledSweep:
         grid = coverage_sweep((0.5, 2.0), *args, beta=0.8, reps=25, seed=48, window=window)
         alone = coverage_sweep((2.0,), *args, beta=0.8, reps=25, seed=48, window=window)
         assert [r for r in grid if r.ratio == 2.0] == alone
-        by_ratio = {(r.ratio, r.model): r.estimate for r in grid}
+        by_ratio = {(r.ratio, r.model): r.coverage for r in grid}
         assert by_ratio[(0.5, ALL_BS)] == by_ratio[(2.0, ALL_BS)]
         assert [r.lambda_b for r in grid if r.model == ALL_BS] == [740.0, 185.0]

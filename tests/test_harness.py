@@ -121,6 +121,8 @@ class TestValidate:
     @pytest.mark.parametrize("experiment", ["cell-pmf", "remark2"])
     def test_one_ratio_experiments_reject_a_grid(self, experiment):
         assert fatal(validate(ExperimentConfig(experiment=experiment, ratio_grid=(0.5, 8.0))))
+        # with neither a grid nor lambda_b the default grid is not run as its first ratio
+        assert fatal(validate(ExperimentConfig(experiment=experiment)))
         assert validate(ExperimentConfig(experiment=experiment, ratio_grid=(0.5,))) == []
 
     def test_two_shadowing_specs_rejected(self):
@@ -256,11 +258,25 @@ class TestRunExperiments:
             "2.0,185.0,thinned-ppp,0.8,0.55,0.34208534245034233,0.7418021417443759,20,"
             "0.004967684414480169",
         ]),
-    ], ids=["void-prob", "coverage"])
+        ("coverage", dict(ratio_grid=(0.5, 2.0), reps=10), [
+            "ratio,lambda_b,model,beta,coverage,ci_low,ci_high,reps,near_tie_fraction",
+            "0.5,740.0,all-bs,0.8,0.8,0.49016247153664183,0.9433178485456247,10,0.005903901622267381",
+            "0.5,740.0,void-aware,0.8,1.0,0.7224672001371107,0.9999999999999999,10,"
+            "0.005903901622267381",
+            "0.5,740.0,thinned-ppp,0.8,0.9,0.5958499732047615,0.9821237869049271,10,"
+            "0.005903901622267381",
+            "2.0,185.0,all-bs,0.8,0.8,0.49016247153664183,0.9433178485456247,10,0.004576731706334743",
+            "2.0,185.0,void-aware,0.8,0.8,0.49016247153664183,0.9433178485456247,10,"
+            "0.004576731706334743",
+            "2.0,185.0,thinned-ppp,0.8,0.8,0.49016247153664183,0.9433178485456247,10,"
+            "0.004576731706334743",
+        ]),
+    ], ids=["void-prob", "coverage", "coverage-two-ratio"])
     def test_single_ratio_rows_pinned(self, experiment, extra, expected, tmp_path):
-        # A one-ratio grid is drawn as it was before grids shared a draw.
+        # A one-ratio grid is drawn as it was before grids shared a draw; the
+        # two-ratio case pins the coupled coverage path.
         out = tmp_path / "a.csv"
-        run(ExperimentConfig(experiment=experiment, ratio_grid=(2.0,), out=str(out), **extra))
+        run(ExperimentConfig(experiment=experiment, out=str(out), **{"ratio_grid": (2.0,), **extra}))
         assert [l for l in out.read_text().splitlines() if not l.startswith("#")] == expected
 
     def test_wide_grid_meets_half_width_well_inside_the_cap(self, tmp_path):
@@ -420,12 +436,16 @@ class TestCli:
         ["cell-pmf", "--ratio-grid", "0.5,8", "--reps", "2"],
         ["remark2", "--ratio-grid", "0.5,8", "--reps", "2"],
         ["void-prob", "--seed", "-1", "--reps", "2"],
+        ["cell-pmf", "--reps", "2"],
+        ["coverage", "--model", "bogus"],
+        ["formulas", "--format", "xml"],
     ], ids=["remark2-n-envelope", "conservation-mark-law", "formulas-zero-ratio",
             "void-prob-negative-ratio", "void-prob-zero-half-width",
             "void-prob-negative-half-width", "void-prob-nan-half-width",
             "void-prob-negative-side", "void-prob-nan-side", "void-prob-inf-side",
             "formulas-no-users", "void-prob-no-users", "bounds-check-no-sets",
-            "coverage-nan-beta", "cell-pmf-grid", "remark2-grid", "void-prob-negative-seed"])
+            "coverage-nan-beta", "cell-pmf-grid", "remark2-grid", "void-prob-negative-seed",
+            "cell-pmf-no-grid", "coverage-unknown-model", "formulas-unknown-format"])
     def test_config_errors_exit_two(self, argv, tmp_path, capsys):
         assert cli_main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
         assert "config error:" in capsys.readouterr().err

@@ -245,6 +245,13 @@ class TestRunReps:
         assert seen == [2, 4, 6]  # checked after every batch of 2
         assert results == run_reps(draw, 8, 6)
 
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_no_replications_rejected(self, reps):
+        calls = []
+        with pytest.raises(ValueError, match="at least one replication"):
+            run_reps(calls.append, 9, reps)
+        assert calls == []
+
     def test_cap_raises(self):
         with pytest.raises(RuntimeError, match="half-width"):
             run_reps(lambda rng: 0, 9, 1, done=lambda results: False)

@@ -2,17 +2,24 @@
 
 ``bench/spans.py`` names the functions its tracer wraps; deleting or
 renaming one of them must fail here rather than in a traced benchmark
-run.  Every name in ``voidnet.__all__`` must also resolve, and importing
+run.  Every name in ``voidnet.__all__`` must also resolve, the Monte-Carlo
+estimators must take ``(reps, window, seed)`` in that order, and importing
 the CLI must stay free of the process-pool machinery.
 """
 
 import importlib.util
+import inspect
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import voidnet
 import voidnet.cli  # noqa: F401  (the tracer patches every loaded voidnet module)
+from voidnet.association import cell_count_pmf_mc, void_probability_mc, void_probability_sweep
+from voidnet.coverage import coverage_sweep, sir_samples
+from voidnet.spatialstats import remark2_test
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -48,6 +55,15 @@ def test_tracer_installs_and_uninstalls():
 def test_all_names_resolve():
     missing = [name for name in voidnet.__all__ if not hasattr(voidnet, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("estimator", [void_probability_mc, void_probability_sweep,
+                                       cell_count_pmf_mc, remark2_test, sir_samples, coverage_sweep],
+                         ids=lambda f: f.__name__)
+def test_estimators_take_reps_window_seed(estimator):
+    names = list(inspect.signature(estimator).parameters)
+    start = names.index("reps")
+    assert names[start:start + 3] == ["reps", "window", "seed"]
 
 
 def test_cli_import_loads_no_pool():
