@@ -40,8 +40,8 @@ MAX_SEQUENTIAL_BATCHES = 16
 # only when sharing the rest of it saves more wall time than this.
 _POOL_START_S = 0.012
 
-# The (draw, seed) of the run_reps call that forked this pool worker; set
-# only inside workers, which inherit the draw instead of unpickling it.
+# The (draw, seed, next_rep) of the run_reps call that forked this pool
+# worker; set only inside workers, which inherit them instead of unpickling.
 _worker_job = None
 
 
@@ -51,17 +51,40 @@ def _usable_cpus() -> int:
     return len(getaffinity(0)) if getaffinity else 1
 
 
-def _start_worker(draw, seed: int) -> None:
+def _start_worker(draw, seed: int, next_rep) -> None:
     global _worker_job
-    _worker_job = (draw, seed)
+    _worker_job = (draw, seed, next_rep)
 
 
 def _draws(draw, seed: int, lo: int, hi: int) -> list:
     return [draw(rep_rng(seed, r)) for r in range(lo, hi)]
 
 
-def _worker_draws(lo: int, hi: int) -> list:
-    return _draws(*_worker_job, lo, hi)
+def _claim_draws(draw, seed: int, next_rep, hi: int) -> list:
+    """``(index, error, result)`` of each index below ``hi`` this process claims.
+
+    Processes claim indices one at a time from the shared ``next_rep``, so
+    one that other load slows takes fewer; a draw that raises ends all claims.
+    """
+    claimed = []
+    while not claimed or claimed[-1][1] is None:
+        with next_rep.get_lock():
+            r = next_rep.value
+            next_rep.value = r + 1
+        if r >= hi:
+            break
+        try:
+            claimed.append((r, None, draw(rep_rng(seed, r))))
+        except Exception as error:
+            claimed.append((r, error, None))
+            next_rep.value = hi
+    return claimed
+
+
+def _worker_draws(hi: int) -> list:
+    from multiprocessing.pool import ExceptionWithTraceback  # keeps the worker's traceback
+    return [(r, None if e is None else ExceptionWithTraceback(e, e.__traceback__), result)
+            for r, e, result in _claim_draws(*_worker_job, hi)]
 
 
 class _Batches:
@@ -73,8 +96,7 @@ class _Batches:
 
     def __init__(self, draw, seed: int):
         self.draw, self.seed = draw, seed
-        self.pool = None
-        self.shares = 1
+        self.pool, self.next_rep, self.workers = None, None, 0
 
     def run(self, lo: int, hi: int) -> list:
         results = []
@@ -84,13 +106,14 @@ class _Batches:
             lo += 1
             if not self._fork_pool(hi - lo, time.perf_counter() - started):
                 return results + _draws(self.draw, self.seed, lo, hi)
-        # Contiguous shares: the first runs here, the rest on the workers.
-        bounds = [lo + (hi - lo) * i // self.shares for i in range(self.shares + 1)]
-        pending = [self.pool.apply_async(_worker_draws, (a, b))
-                   for a, b in zip(bounds[1:-1], bounds[2:]) if a < b]
-        results += _draws(self.draw, self.seed, bounds[0], bounds[1])
-        for share in pending:
-            results += share.get()
+        self.next_rep.value = lo  # this process and the workers claim the rest
+        pending = [self.pool.apply_async(_worker_draws, (hi,)) for _ in range(self.workers)]
+        claimed = _claim_draws(self.draw, self.seed, self.next_rep, hi)
+        claimed += [c for share in pending for c in share.get()]
+        for _, error, result in sorted(claimed, key=lambda c: c[0]):
+            if error is not None:
+                raise error
+            results.append(result)
         return results
 
     def _fork_pool(self, rest: int, draw_s: float) -> bool:
@@ -111,9 +134,10 @@ class _Batches:
                 or multiprocessing.current_process().daemon):
             return False
         context = multiprocessing.get_context("fork")
-        self.pool = context.Pool(cpus - 1, initializer=_start_worker,
-                                 initargs=(self.draw, self.seed))
-        self.shares = cpus
+        self.next_rep = context.Value("q", 0)
+        self.workers = cpus - 1
+        self.pool = context.Pool(self.workers, initializer=_start_worker,
+                                 initargs=(self.draw, self.seed, self.next_rep))
         return True
 
     def close(self) -> None:
@@ -134,15 +158,15 @@ def run_reps(draw, seed: int, reps: int, done=None) -> list:
 
     Replications may run in parallel.  The first of a batch is timed here;
     when splitting the rest across the usable CPUs would save more wall
-    time than starting a pool costs, they are split into contiguous index
-    ranges, one per CPU, and all but the first go to worker processes
-    forked for this call (one pool serves all its batches).  Workers return
-    the summaries of their range, which must pickle, and ``done`` sees
-    them in index order, so the result and the stopping point do not
-    depend on the worker count.  A draw's exception reaches the caller as
-    the serial run would raise it; side effects of a draw inside a worker
-    are lost.  Runs stay serial on one CPU, without ``fork``, inside a
-    worker and while other threads run (so a nested call never forks).
+    time than starting a pool costs, this process and one worker forked
+    per further CPU (one pool serves all batches of the call) claim them
+    one index at a time.  Workers return their summaries, which must
+    pickle, and ``done`` sees them in index order, so the result and the
+    stopping point do not depend on who drew what.  A draw's exception
+    reaches the caller as the serial run would raise it; side effects of
+    a draw inside a worker are lost.  Runs stay serial on one CPU, without
+    ``fork``, inside a worker and while other threads run (so a nested
+    call never forks).
     Raises :class:`ValueError` for ``reps < 1`` before any draw.
     """
     if reps < 1:

@@ -149,7 +149,7 @@ def remark2_test(
     """
     r = default_radii(window) if radii is None else np.atleast_1d(np.asarray(radii, dtype=float))
 
-    def draw(rng: np.random.Generator) -> tuple[PointPattern, int, int]:
+    def draw(rng: np.random.Generator) -> tuple[np.ndarray, int, int]:
         bs = sample_ppp(lambda_b, window, rng)
         if len(bs) == 0:
             raise RuntimeError("empty base-station draw; enlarge the window")
@@ -161,14 +161,14 @@ def remark2_test(
                 f"associated pattern has {len(kept)} stations (< {MIN_POINTS}); "
                 "no K statistic is possible at these intensities"
             )
-        return kept, outcome.void_count, len(bs)
+        return ripley_k(kept, r).k_hat, outcome.void_count, len(bs)
 
     results = run_reps(draw, seed, reps)
     void_fraction, _, _ = pooled_fraction([v for _, v, _ in results], [c for _, _, c in results])
     matched = (1.0 - void_fraction) * lambda_b
     lo, hi = ppp_envelope(matched, window, r, n_envelope=n_envelope, seed=seed + 1)
 
-    k_all = np.array([ripley_k(kept, r).k_hat for kept, _, _ in results])
+    k_all = np.array([k for k, _, _ in results])
     below = k_all < lo
     above = k_all > hi
     exits = below | above

@@ -7,6 +7,7 @@ replications forks, however cheap its draws are.
 """
 
 import dataclasses
+import multiprocessing
 import os
 
 import numpy as np
@@ -68,17 +69,36 @@ def pid_draw(rng):
     return os.getpid(), rng.random()
 
 
+def with_workers(draw):
+    """``draw``, but this process waits beside an open pool until a worker has drawn.
+
+    Replication 0 is timed here before any pool exists.  With a pool,
+    this process claims replication 1 and holds it until a worker has
+    claimed replication 2, so workers take part however cheap the draws
+    are.
+    """
+    parent = os.getpid()
+    worker_drew = multiprocessing.get_context("fork").Event()
+
+    def wrapped(rng):
+        if os.getpid() != parent:
+            worker_drew.set()
+        elif multiprocessing.active_children():
+            assert worker_drew.wait(timeout=60)
+        return draw(rng)
+
+    return wrapped
+
+
 class TestRunReps:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_ranges_split_across_processes(self, cpus, workers):
-        serial, parallel = serial_and_parallel(cpus, lambda: run_reps(pid_draw, 61, 9), workers)
+        draw = with_workers(pid_draw)
+        serial, parallel = serial_and_parallel(cpus, lambda: run_reps(draw, 61, 9), workers)
         assert [x for _, x in parallel] == [x for _, x in serial]
         pids = [pid for pid, _ in parallel]
-        assert pids[0] == os.getpid()  # the first replication is timed here
-        assert 2 <= len(set(pids)) <= workers  # any idle worker may take a range
-        # contiguous index ranges: each process's replications form one run
-        runs = [pid for i, pid in enumerate(pids) if i == 0 or pid != pids[i - 1]]
-        assert len(runs) == len(set(runs))
+        assert pids[:2] == [os.getpid()] * 2  # timed here, then claimed beside the workers
+        assert 2 <= len(set(pids)) <= workers  # any idle worker may claim the rest
 
     def test_sequential_stopping_sees_the_serial_lists(self, cpus):
         def run():
@@ -95,16 +115,21 @@ class TestRunReps:
         assert [len(s) for s in parallel[1]] == [3, 6, 9]
 
     @pytest.mark.parametrize(
-        "error, bad", [(ValueError, 0), (ValueError, 2), (ValueError, 7), (QuadratureError, 7)],
-        ids=["first", "parent-share", "worker-share", "quadrature-in-worker"],
+        "error, bad",
+        [(ValueError, (0,)), (ValueError, (1,)), (ValueError, (2,)), (QuadratureError, (2,)),
+         (ValueError, (1, 2))],
+        ids=["first", "parent-share", "worker-share", "quadrature-in-worker", "lowest-of-two"],
     )
     def test_draw_exception_reaches_the_caller(self, cpus, error, bad):
-        # 8 reps on 2 CPUs: 0 is timed here, 1-3 run here, 4-7 on the worker.
-        rejected = rep_rng(63, bad).random()
+        # 8 reps on 2 CPUs: 0 is timed here, 1 is claimed here and 2 on the
+        # worker.  With both 1 and 2 bad, the parallel run must raise at 1
+        # as the serial one does, whichever process fails first.
+        rejected = {rep_rng(63, r).random() for r in bad}
 
+        @with_workers
         def draw(rng):
             x = rng.random()
-            if x == rejected:
+            if x in rejected:
                 raise (ValueError(f"draw {x!r} rejected") if error is ValueError
                        else QuadratureError(f"draw {x!r} rejected", achieved_tol=1e-3))
             return x
@@ -116,6 +141,8 @@ class TestRunReps:
                 run_reps(draw, 63, 8)
             raised.append((type(info.value), str(info.value), getattr(info.value, "achieved_tol", None)))
         assert raised[0] == raised[1]
+        if bad == (2,):  # raised on the worker, whose traceback comes along
+            assert "Traceback" in str(info.value.__cause__)
 
     def test_nested_call_stays_serial(self, cpus):
         cpus(2)
@@ -124,7 +151,7 @@ class TestRunReps:
             inner = run_reps(lambda inner_rng: (os.getpid(), inner_rng.random()), 64, 3)
             return os.getpid(), inner
 
-        results = run_reps(outer, 65, 6)
+        results = run_reps(with_workers(outer), 65, 6)
         assert {pid for pid, _ in results} != {os.getpid()}  # some ran on a worker
         for pid, inner in results:
             assert [x for _, x in inner] == [rep_rng(64, r).random() for r in range(3)]
