@@ -62,13 +62,24 @@ def wilson_interval(p_hat: float, n: float, z: float = Z_95) -> tuple[float, flo
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def pooled_fraction(numerators, denominators) -> tuple[float, float, float]:
+def pooled_fraction(numerators, denominators, squares=None) -> tuple[float, float, float]:
     """Pooled proportion across replications with an honest interval.
 
-    The estimate is sum(v_r) / sum(n_r).  Replications are treated as
-    clusters: the ratio-estimator variance computed from per-replication
-    residuals absorbs any within-replication correlation, and the Wilson
-    interval is then evaluated at the implied effective sample size.
+    The estimate is sum(v_r) / sum(n_r), where v_r sums the per-cell
+    weights w in [0, 1] of replication r over its n_r cells.  Replications
+    are treated as clusters: the ratio-estimator variance computed from
+    per-replication residuals absorbs any within-replication correlation,
+    and the Wilson interval is then evaluated at the implied effective
+    sample size.
+
+    That size is capped by a per-cell variance floor: the pooled cells
+    can do no better than independent ones, so
+    n_eff <= total * p_hat (1 - p_hat) / s^2 with s^2 = sum(w^2) / total
+    - p_hat^2.  ``squares`` holds the per-replication sums of w^2.  Left
+    out, the cells are taken as 0/1 indicators, for which s^2 =
+    p_hat (1 - p_hat) and the cap is the cell count.  Weights strictly
+    inside (0, 1), such as the thinned void weights (1 - p)^K, spread
+    less than that, so their cap rises above the cell count.
 
     Returns ``(p_hat, ci_low, ci_high)``.
     """
@@ -87,7 +98,15 @@ def pooled_fraction(numerators, denominators) -> tuple[float, float, float]:
     else:
         var = 0.0
     if var > 0.0:
-        n_eff = min(p_hat * (1.0 - p_hat) / var, total)
+        binomial = p_hat * (1.0 - p_hat)
+        cap = total
+        if squares is not None:
+            # p_hat (1 - p_hat) - s^2 = sum(w - w^2) / total: exactly 0 for
+            # 0/1 cells, so they keep the cell-count cap bit for bit.
+            cell_var = binomial - (v.sum() - float(np.sum(squares))) / total
+            if cell_var < binomial:
+                cap = total * binomial / cell_var if cell_var > 0.0 else math.inf
+        n_eff = min(binomial / var, cap)
         n_eff = max(n_eff, 1.0)
     else:
         n_eff = total

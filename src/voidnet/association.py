@@ -194,15 +194,20 @@ def _void_estimates(hists: list[np.ndarray], retain, seed: int) -> list[Estimate
     keep probability p leaves it void with probability exactly (1 - p)^K,
     so a replication's expected void count at p is sum_k h[k] (1 - p)^k
     (conditional Monte Carlo).  At p = 1 that is h[0], the plain count.
+    Below p = 1 the per-replication sums of squares sum_k h[k] (1 - p)^2k
+    go with it, so the interval's per-cell variance floor is that of the
+    weights pooled, not of 0/1 indicators (see
+    :func:`voidnet.analytics.pooled_fraction`).
     """
     width = max(len(h) for h in hists)
     counts = np.array([np.pad(h, (0, width - len(h))) for h in hists])
     void_weights = (1.0 - np.asarray(retain, dtype=float)) ** np.arange(width)[:, None]
     voids = counts @ void_weights
+    squares = counts @ void_weights**2
     cells = counts.sum(axis=1)
     estimates = []
-    for column in voids.T:
-        p_hat, lo, hi = pooled_fraction(column, cells)
+    for p, column, column_squares in zip(retain, voids.T, squares.T):
+        p_hat, lo, hi = pooled_fraction(column, cells, column_squares if p < 1.0 else None)
         estimates.append(
             EstimateWithCI(value=p_hat, ci_low=lo, ci_high=hi, reps=len(hists), seed=seed)
         )
@@ -279,7 +284,10 @@ def void_probability_sweep(
     void probability (1 - r/r_top)^K of a cell holding K users.  The
     estimate at ratio r is that of a window of side
     ``window.side * sqrt(r / r_top)`` at lambda_b = lambda_u / r, which
-    holds the same expected station count.
+    holds the same expected station count.  The interval at r < r_top
+    takes its per-cell variance floor from those weights and their
+    squares, which spread less than 0/1 void indicators, so it may be
+    narrower than a binomial one over the cells.
 
     With ``half_width`` set, batches of ``reps`` are added until every
     ratio's 95% half-width is at most ``half_width``; each estimate's

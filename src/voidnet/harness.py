@@ -402,7 +402,7 @@ def _grid_window(config: ExperimentConfig, ratios) -> tuple[float, SimulationWin
 
 
 def _first_batch(config: ExperimentConfig, zd: float, r_top: float, window: SimulationWindow) -> int:
-    """Replications in the first batch of an auto-rep void-prob run.
+    """Replications in the first batch of an auto-rep void-prob or cell-pmf run.
 
     :func:`suggested_reps` on the gamma-area void guess at r_top, with
     shape rho = 3.5 * zeta-dagger (3.5 where that is not finite).
@@ -462,11 +462,8 @@ def _cell_pmf_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
     law = config.weight_law()
     ratio, window = _grid_window(config, config.ratios())
     lambda_b = config.lambda_u / ratio
-    reps = config.reps or suggested_reps(
-        void_prob_nearest(config.lambda_u, lambda_b),
-        lambda_b * window.sampling_area(),
-        config.half_width,
-    )
+    # Sized like void-prob's first batch, so the n = 0 bin is its estimate.
+    reps = config.reps or _first_batch(config, zeta_dagger(cp, law), ratio, window)
     pmf = cell_count_pmf_mc(
         lambda_b, config.lambda_u, cp, law, reps, window, config.seed,
         half_width=None if config.reps else config.half_width,

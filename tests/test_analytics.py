@@ -239,6 +239,41 @@ class TestEstimateMachinery:
         p, lo, hi = pooled_fraction([10, 10], [10, 10])
         assert p == 1.0 and hi == 1.0
 
+    @pytest.mark.parametrize("v,n,expected", [
+        # the cell-count cap binds (under-dispersed replications)
+        ([2, 3, 1, 2], [10, 10, 10, 10], (0.2, 0.10499989725437704, 0.347573063463995)),
+        # the cluster variance sets the width
+        ([0, 7, 1, 5, 2], [40, 41, 38, 45, 39],
+         (0.07389162561576355, 0.03276169523447543, 0.15821115688112541)),
+    ], ids=["capped", "cluster"])
+    def test_pooled_fraction_indicator_squares_change_nothing(self, v, n, expected):
+        # 0/1 cells have sum(w^2) = sum(w), so their per-cell variance floor
+        # is the cell count and passing the squares gives the same bits.
+        assert pooled_fraction(v, n) == expected
+        assert pooled_fraction(v, n, squares=v) == expected
+
+    def test_pooled_fraction_thinned_weights_cover_at_nominal_rate(self):
+        # Void weights (1 - p)^K of gamma(3.5)-area cells holding
+        # K ~ Poisson(r_top * area) users, 40 replications of 200 cells:
+        # their mean is (1 + p r_top / 3.5)^-3.5.  The floor from their
+        # squares gives a 95% interval; the cell-count cap of 0/1 cells
+        # over-covers, since these weights spread less than indicators.
+        rng = np.random.default_rng(2024)
+        p, r_top = 1.0 / 8.0, 8.0
+        truth = (1.0 + p * r_top / VORONOI_SHAPE) ** -VORONOI_SHAPE
+        sets, reps, cells = 2000, 40, 200
+        covered = capped_covered = 0
+        for _ in range(sets):
+            area = rng.gamma(VORONOI_SHAPE, 1.0 / VORONOI_SHAPE, size=(reps, cells))
+            w = (1.0 - p) ** rng.poisson(r_top * area)
+            v, n = w.sum(axis=1), np.full(reps, cells)
+            _, lo, hi = pooled_fraction(v, n, squares=(w * w).sum(axis=1))
+            covered += lo <= truth <= hi
+            _, lo, hi = pooled_fraction(v, n)
+            capped_covered += lo <= truth <= hi
+        assert 0.93 <= covered / sets <= 0.97
+        assert capped_covered / sets > 0.985
+
     def test_pooled_fraction_widens_under_correlation(self):
         # strongly correlated replications must produce wider intervals
         rng = np.random.default_rng(12)

@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from voidnet.analytics import user_count_pmf, void_prob_nearest
+from voidnet.analytics import pooled_fraction, user_count_pmf, void_prob_nearest, wilson_interval
 from voidnet.association import (
     ASSOCIATE_BLOCK_ROWS,
     NEAR_TIE_RTOL,
+    _cell_histograms,
     _void_estimates,
     associate,
     associated_pattern,
@@ -254,6 +255,37 @@ class TestVoidProbabilitySweep:
         hist = np.bincount(cell_users, minlength=1)
         [est] = _void_estimates([hist], [p], seed=0)
         assert est.value * len(cell_users) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+    @given(st.lists(st.lists(st.integers(0, 30), min_size=1, max_size=8), min_size=1, max_size=6),
+           st.floats(0.0, 1.0, exclude_min=True))
+    def test_thinned_interval_within_cell_count_capped_one(self, rows, p):
+        # Weights (1 - p)^K in [0, 1] have per-cell variance s^2 <= p(1 - p),
+        # so their floor never caps n_eff below the cell count: the interval
+        # nests inside the one capped there.  The p = 1 column is the 0/1
+        # void count and keeps the cell-count cap bit for bit.
+        hists = [np.array(h) for h in rows]
+        assume(sum(h.sum() for h in hists) > 0)
+        thinned, indicator = _void_estimates(hists, [p, 1.0], seed=0)
+        width = max(len(h) for h in hists)
+        counts = np.array([np.pad(h, (0, width - len(h))) for h in hists])
+        cells = counts.sum(axis=1)
+        voids = counts @ (1.0 - np.array([p, 1.0])) ** np.arange(width)[:, None]
+        value, lo, hi = pooled_fraction(voids[:, 0], cells)
+        assert thinned.value == value
+        assert lo - 1e-12 <= thinned.ci_low and thinned.ci_high <= hi + 1e-12
+        assert (indicator.value, indicator.ci_low, indicator.ci_high) == pooled_fraction(
+            counts[:, 0], cells)
+
+    def test_thinned_row_beats_binomial_over_cells(self):
+        # Capped at the cell count, no row's half-width could fall below the
+        # binomial one over its cells; the (1 - p)^K floor lets ratio 0.5 do so.
+        grid, window, reps, seed = (0.5, 8.0), SimulationWindow(side=2.0), 12, 54
+        low, _ = void_probability_sweep(grid, 370.0, RAYLEIGH, WeightLaw.nearest(), reps,
+                                        window, seed)
+        hists = _cell_histograms(370.0 / 8.0, 370.0, RAYLEIGH, WeightLaw.nearest(), reps,
+                                 window, seed, None)
+        lo, hi = wilson_interval(low.value, sum(h.sum() for h in hists))
+        assert low.half_width < 0.8 * (hi - lo) / 2.0
 
     @given(st.integers(0, 10_000))
     def test_one_draw_non_increasing_in_ratio(self, seed):

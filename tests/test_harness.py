@@ -325,6 +325,21 @@ class TestRunExperiments:
         run(ExperimentConfig(out=str(tmp_path / "a.csv"), **base))
         assert calls == [int(warning.rsplit(">= ", 1)[1])]
 
+    def test_cell_pmf_zero_bin_is_void_prob_estimate(self, tmp_path):
+        # Both auto-rep runs size their first batch alike (gamma-area guess
+        # at rho = 3.5 zeta-dagger), so the n = 0 bin reproduces void-prob's
+        # estimate and realized count under a non-nearest law too.
+        base = dict(law="unit", sigma_db=8.0, ratio_grid=(2.0,), half_width=0.01, fmt="json")
+        run(ExperimentConfig(experiment="void-prob", out=str(tmp_path / "v.json"), **base))
+        run(ExperimentConfig(experiment="cell-pmf", out=str(tmp_path / "c.json"), **base))
+        [void] = json.loads((tmp_path / "v.json").read_text())["rows"]
+        pmf = json.loads((tmp_path / "c.json").read_text())
+        zero = pmf["rows"][0]
+        assert zero["n_users"] == 0
+        assert (zero["p_sim"], zero["ci_low"], zero["ci_high"]) == (
+            void["p_void_sim"], void["ci_low"], void["ci_high"])
+        assert pmf["metadata"]["result.reps"] == void["reps"]
+
     def test_cell_pmf_passes_half_width_for_auto_reps(self, tmp_path, monkeypatch):
         calls = []
         real_mc = harness.cell_count_pmf_mc
