@@ -9,29 +9,63 @@ of W * H only), and the one under which large weighting drives the void
 probability down to its floor exp(-lambda_u / lambda_b).  Base stations
 whose resulting cell is empty are "void"; their statistics are pooled
 across stations and replications.
+
+Under the unit and log-normal laws the association is exact in law
+without drawing every link.  W * H = Y * G / m, with
+ln Y ~ N(mu + mu_w, sigma2 + sigma2_w) and G ~ StandardGamma(m) (the
+transformed-process view of weighted association; Dhillon & Andrews,
+IEEE WCL 2014).  The stations are binned on a torus cell grid.  Each
+user draws W and H exactly on every link to the stations of its near
+block, the (2s+1)^2 cells around its own; call the best criterion there
+B.  Ring k of cells around the user's cell lies at least (k - 1 + e) * l
+away, with l the cell side and e * l the user's distance to the nearest
+edge of its own cell, so one of its stations can come within
+``NEAR_TIE_RTOL`` of B only if W * H > c = (1 - NEAR_TIE_RTOL) * B *
+((k - 1 + e) l)^alpha.  The dominating event
+D = {Y > y*} U {G > m c / y*} contains that event for any y*, and its
+probability P(D) is closed form, so the ring's stations in D are drawn
+by thinning (Devroye, *Non-Uniform Random Variate Generation*, 1986,
+ch. VI): Binomial(n_k, P(D)) distinct stations picked uniformly, their
+(Y, G) drawn conditioned on D and tested exactly.  A station outside D
+can neither win nor tie, so the winner and ``near_tie`` are those of the
+dense criterion.  The y* that minimises P(D) is tabulated once per
+(channel, law) on a log-spaced grid of c, and each (user, ring)
+threshold is rounded down to that grid, which keeps D dominating.  A
+winner from a ring has its Y split into weight and shadowing by their
+normal law given Y, so ``serving_weight`` and ``serving_gain`` keep
+their laws.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
+from scipy.special import gammaincc, gammainccinv, ndtr, ndtri
 
 from .analytics import EstimateWithCI, pooled_fraction
-from .channel import NEAREST, ChannelParams, WeightLaw, sample_gain, zeta_dagger
-from .geometry import SimulationWindow, pairwise_distances
+from .channel import LOGNORMAL, NEAREST, ChannelParams, WeightLaw, sample_gain, zeta_dagger
+from .geometry import SimulationWindow, _shortest_way
 from .pointprocess import PointPattern, run_reps, sample_ppp
 
 # Best-to-second-best criterion gap below which a user's association is
 # considered ambiguous; a high fraction flags an undersized window.
 NEAR_TIE_RTOL = 0.01
 
-# User rows per block of the dense criterion in `associate`; bounds its
-# working set to a few (rows x stations) float64 arrays.
-ASSOCIATE_BLOCK_ROWS = 256
+# Mean base stations per cell of the association grid, which has
+# floor(sqrt(n_b / GRID_CELL_STATIONS)) cells per side (at least one).
+GRID_CELL_STATIONS = 2.0
+
+# Chebyshev radius s, in cells, of the near block whose links are all drawn.
+NEAR_BLOCK_RADIUS = 2
+
+# Log-spaced thresholds in each (channel, law)'s table of optimised
+# dominating events; a (user, ring) threshold is rounded down to it.
+THRESHOLD_TABLE_SIZE = 512
 
 
 @dataclass(frozen=True)
@@ -75,14 +109,18 @@ def associate(
 ) -> AssociationOutcome:
     """Assign every user to its criterion-maximizing base station.
 
-    Draw order is fixed for reproducibility: the user-by-station weight
-    matrix first (log-normal law only), then the full user-by-station
-    gain matrix (nearest law: serving-link gains only, since gains cancel
-    out of its criterion, and the serving weight is W = 1/H).  Ties break
-    toward the lowest station index.  The distances, the criterion
-    (W * H) * d^(-alpha), its argmax and the runner-up are computed in
-    blocks of ``ASSOCIATE_BLOCK_ROWS`` users after both draws, which keeps
-    the working set in cache.
+    Ties break toward the lowest station index.  Under the nearest law
+    the gains cancel out of the criterion: the assignment is a periodic
+    nearest-station query, and the only draws are the serving-link gains
+    (the serving weight is W = 1/H).  Under the unit and log-normal laws
+    the near-block links are drawn exactly and the far rings thinned (see
+    the module docstring), in a fixed draw order for reproducibility:
+    the near-block weights (log-normal law only), the near-block gains,
+    the Binomial count of every (user, ring), the uniform picks of the
+    counted stations, the conditional (Y, G) draws of those candidates,
+    and last the split of Y into weight and shadowing for each user won
+    by a far candidate (log-normal law only; the conditional law of the
+    shadowing given Y is normal).
     """
     n_b = len(bs)
     n_u = len(users)
@@ -111,33 +149,8 @@ def associate(
         else:
             near_tie = np.zeros(n_u, dtype=bool)
     else:
-        weights = law.sample_weights((n_u, n_b), rng)
-        gains = sample_gain(cp, rng, size=(n_u, n_b))
-        assignments = np.zeros(n_u, dtype=np.intp)
-        serving_distance = np.empty(n_u)
-        best = np.empty(n_u)
-        second = np.empty(n_u)
-        for start in range(0, n_u, ASSOCIATE_BLOCK_ROWS):
-            block = slice(start, start + ASSOCIATE_BLOCK_ROWS)
-            dist = pairwise_distances(users.points[block], bs.points, bs.window)
-            with np.errstate(divide="ignore"):
-                criterion = weights[block] * gains[block]
-                criterion *= dist ** (-cp.alpha)
-            rows = np.arange(len(criterion))
-            top = np.argmax(criterion, axis=1)
-            assignments[block] = top
-            serving_distance[block] = dist[rows, top]
-            best[block] = criterion[rows, top]
-            criterion[rows, top] = -np.inf  # the row max is now the runner-up
-            second[block] = criterion.max(axis=1)
-        rows = np.arange(n_u)
-        serving_weight = weights[rows, assignments]
-        serving_gain = gains[rows, assignments]
-        if n_b >= 2:
-            with np.errstate(invalid="ignore"):
-                near_tie = second / best > 1.0 - NEAR_TIE_RTOL
-        else:
-            near_tie = np.zeros(n_u, dtype=bool)
+        (assignments, serving_distance, serving_weight, serving_gain,
+         near_tie) = _thinned_association(bs, users, cp, law, rng)
 
     cell_counts = np.bincount(assignments, minlength=n_b)
     return AssociationOutcome(
@@ -149,6 +162,324 @@ def associate(
         void_count=int(np.sum(cell_counts == 0)),
         near_tie=near_tie,
     )
+
+
+def _dominating_probabilities(log_y, log_c, m: float, mu: float, sigma: float):
+    """(P(Y > y*), P(G > m c / y*)) for ln y* = ``log_y`` and ln c = ``log_c``.
+
+    The dominating event D = {Y > y*} U {G > m c / y*} contains
+    {Y * G / m > c}, and P(D) = P_Y + P_G - P_Y * P_G, since Y and G are
+    independent.  A degenerate Y (sigma = 0) is exceeded with probability
+    0 or 1.
+    """
+    with np.errstate(over="ignore"):
+        p_g = gammaincc(m, m * np.exp(log_c - log_y))
+    if sigma > 0:
+        p_y = ndtr((mu - log_y) / sigma)
+    else:
+        p_y = np.where(mu > log_y, 1.0, 0.0)
+    return p_y, p_g
+
+
+@functools.lru_cache(maxsize=64)
+def _threshold_table(m: float, mu: float, sigma: float):
+    """Optimised dominating events on a log-spaced threshold grid.
+
+    Returns read-only arrays ``(log_c, log_y, p_y, p_g)``: entry 0 is
+    c = 0, where D is every station (P(D) = 1), and the other
+    ``THRESHOLD_TABLE_SIZE`` thresholds run from where P(D) is about 1 to
+    where it is about 1e-15.  Each entry's y* minimises P(D) by a
+    golden-section search in ln y*; 1 - P(D) is a product of two
+    log-concave functions of ln y*, so P(D) is unimodal there.  Any y* is
+    valid, so the search only has to be good.
+    """
+    floor = math.log(gammainccinv(m, 1.0 - 1e-6) / m)
+    ceiling = math.log(gammainccinv(m, 1e-15) / m)
+    log_c = np.linspace(mu - 8.0 * sigma + floor, mu + 8.0 * sigma + ceiling,
+                        THRESHOLD_TABLE_SIZE)
+    if sigma > 0:
+
+        def p_dominating(log_y):
+            p_y, p_g = _dominating_probabilities(log_y, log_c, m, mu, sigma)
+            return p_y + p_g - p_y * p_g
+
+        lo = np.full_like(log_c, mu - 10.0 * sigma)
+        hi = np.maximum(log_c, mu) + 10.0 * sigma
+        shrink = (math.sqrt(5.0) - 1.0) / 2.0
+        for _ in range(60):
+            left = hi - shrink * (hi - lo)
+            right = lo + shrink * (hi - lo)
+            go_right = p_dominating(left) > p_dominating(right)
+            lo = np.where(go_right, left, lo)
+            hi = np.where(go_right, hi, right)
+        log_y = (lo + hi) / 2.0
+    else:
+        log_y = np.full_like(log_c, mu)
+    log_c = np.concatenate(([-np.inf], log_c))
+    log_y = np.concatenate(([mu], log_y))
+    p_y, p_g = _dominating_probabilities(log_y, log_c, m, mu, sigma)
+    table = (log_c, log_y, p_y, p_g)
+    for column in table:
+        column.flags.writeable = False
+    return table
+
+
+def _draw_dominating(log_y, p_y, p_g, m: float, mu: float, sigma: float, uniforms):
+    """(ln Y, G) conditioned on D = {Y > y*} U {G > g*}, one row of ``uniforms`` each.
+
+    ``p_y`` = P(Y > y*) and ``p_g`` = P(G > g*) as returned by
+    :func:`_dominating_probabilities`.  Column 0 picks the branch: {Y > y*}
+    with probability P_Y / P(D), else {Y <= y*, G > g*}, which together
+    partition D.  Column 1 draws ln Y from its normal law truncated to the
+    branch (``ndtri``), column 2 draws G by inverting its upper tail
+    (``gammainccinv``): unconditioned on the first branch, above g* on the
+    second.  A candidate needs P(D) > 0.
+    """
+    above = uniforms[:, 0] * (p_y + p_g - p_y * p_g) < p_y
+    v = 1.0 - uniforms[:, 1:]  # in (0, 1], so no quantile is infinite
+    if sigma > 0:
+        z = np.where(above, -ndtri(v[:, 0] * p_y), ndtri(v[:, 0] * ndtr((log_y - mu) / sigma)))
+        ln_y = mu + sigma * z
+    else:
+        ln_y = np.full(len(uniforms), mu)
+    g = gammainccinv(m, v[:, 1] * np.where(above, 1.0, p_g))
+    return ln_y, g
+
+
+def _ranges(starts, lengths) -> np.ndarray:
+    """The concatenated integer ranges [starts[i], starts[i] + lengths[i])."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    shift = np.asarray(starts, dtype=np.intp) - (np.cumsum(lengths) - lengths)
+    return np.arange(int(lengths.sum()), dtype=np.intp) + np.repeat(shift, lengths)
+
+
+def _top_two(values, station, lengths, n_b: int):
+    """Per consecutive segment of ``values``: best, its station, its index, second best.
+
+    Segment i holds ``lengths[i]`` entries.  The best goes to the lowest
+    station index on ties; the second best is the best of the rest.  An
+    empty segment reads (-inf, ``n_b``, -1, -inf).
+    """
+    n = len(lengths)
+    best, second = np.full(n, -np.inf), np.full(n, -np.inf)
+    top_station, top = np.full(n, n_b, dtype=np.intp), np.full(n, -1, dtype=np.intp)
+    filled = lengths > 0
+    if len(values):
+        owner = np.repeat(np.arange(n), lengths)
+        starts = (np.cumsum(lengths) - lengths)[filled]
+        best[filled] = np.maximum.reduceat(values, starts)
+        tied = values == best[owner]
+        top_station[filled] = np.minimum.reduceat(np.where(tied, station, n_b), starts)
+        top[filled] = np.flatnonzero(tied & (station == top_station[owner]))
+        rest = values.copy()
+        rest[top[filled]] = -np.inf
+        second[filled] = np.maximum.reduceat(rest, starts)
+    return best, top_station, top, second
+
+
+class _CellGrid:
+    """Base stations binned on a g x g torus cell grid, with cell offsets grouped by ring.
+
+    Ring k around a cell holds the cells at Chebyshev cell distance k on
+    the torus, each cell once, so the rings around any cell partition the
+    grid; a point in ring k lies at least (k - 1) * ``cell_side`` from any
+    point of the centre cell.  Entries ``ring_first[k]`` to
+    ``ring_first[k + 1] - 1`` of the offset arrays ``di`` and ``dj`` are
+    ring k's cell offsets; the near block is rings 0 to s.
+    """
+
+    def __init__(self, bs: PointPattern):
+        self.n_b = len(bs)
+        self.g = g = max(1, int(math.sqrt(self.n_b / GRID_CELL_STATIONS)))
+        self.cell_side = bs.window.side / g
+        xy = self.xy_of(bs.points)
+        cells = xy[:, 0] * g + xy[:, 1]
+        self.by_cell = np.argsort(cells, kind="stable")
+        self.counts = np.bincount(cells, minlength=g * g)
+        self.first = np.cumsum(self.counts) - self.counts
+        fold = np.minimum(np.arange(g), g - np.arange(g))
+        ring_of = np.maximum.outer(fold, fold).ravel()
+        by_ring = np.argsort(ring_of, kind="stable")
+        self.ring_first = np.searchsorted(ring_of[by_ring], np.arange(g // 2 + 2))
+        self.di, self.dj = np.divmod(by_ring, g)
+
+    def xy_of(self, points) -> np.ndarray:
+        return np.minimum((points / self.cell_side).astype(np.intp), self.g - 1)
+
+    def cells_at(self, centre_xy, offsets) -> np.ndarray:
+        """Flat index of the cell at offset ``offsets[i]`` from cell ``centre_xy[i]``."""
+        g = self.g
+        x = (centre_xy[:, 0] + self.di[offsets]) % g
+        return x * g + (centre_xy[:, 1] + self.dj[offsets]) % g
+
+    def stations_of(self, cells) -> np.ndarray:
+        """The stations of every cell in ``cells``, cell by cell."""
+        return self.by_cell[_ranges(self.first[cells], self.counts[cells])]
+
+    def near_blocks(self):
+        """Stations of every cell's near block, cell after cell, and their counts per cell."""
+        g = self.g
+        n_near = int(self.ring_first[min(NEAR_BLOCK_RADIUS + 1, len(self.ring_first) - 1)])
+        centre_xy = np.stack(np.divmod(np.arange(g * g), g), axis=1)
+        block = self.cells_at(np.repeat(centre_xy, n_near, axis=0),
+                              np.tile(np.arange(n_near), g * g))
+        return self.stations_of(block), self.counts[block].reshape(g * g, n_near).sum(axis=1)
+
+    def ring_reach(self, points, rings) -> np.ndarray:
+        """(len(points), len(rings)) lower bounds on the distance from each
+        point to ring k around its cell: (k - 1 + e) * ``cell_side``, with
+        e * ``cell_side`` the point's distance to the nearest edge of its cell."""
+        inside = points / self.cell_side - self.xy_of(points)
+        edge = np.minimum(inside, 1.0 - inside).min(axis=1).clip(0.0)
+        return (rings - 1 + edge[:, None]) * self.cell_side
+
+    def ring_counts(self, centres, rings) -> np.ndarray:
+        """(len(centres), len(rings)) station counts of each ring around each centre cell."""
+        g = self.g
+        prefix = np.zeros((3 * g + 1, 3 * g + 1), dtype=self.counts.dtype)
+        prefix[1:, 1:] = np.tile(self.counts.reshape(g, g), (3, 3)).cumsum(axis=0).cumsum(axis=1)
+        line = np.arange(g)
+
+        def box(k):  # stations within Chebyshev cell distance k, each cell once
+            if 2 * k + 1 >= g:
+                return np.full(g * g, self.n_b)
+            lo, hi = line + g - k, line + g + k + 1
+            return (prefix[np.ix_(hi, hi)] - prefix[np.ix_(lo, hi)]
+                    - prefix[np.ix_(hi, lo)] + prefix[np.ix_(lo, lo)]).ravel()
+
+        boxes = np.array([box(k)[centres] for k in range(rings[0] - 1, rings[-1] + 1)]
+                         if len(rings) else np.zeros((1, len(centres)), dtype=np.intp))
+        return np.diff(boxes, axis=0).T
+
+    def pick(self, rng, centre_xy, ring, n, drawn):
+        """``drawn[i]`` distinct stations picked uniformly from ring ``ring[i]``
+        around cell ``centre_xy[i]``, which holds ``n[i]`` stations.
+
+        Returns (i, station) per pick, grouped by i.  The ring's stations are
+        numbered 0 .. n[i] - 1 cell by cell.  A ring drawn more than half
+        keeps the numbers with the ``drawn[i]`` smallest of uniform keys;
+        any other draws numbers uniformly and draws a repeated one again,
+        which is invariant under renumbering, so uniform over subsets.
+        """
+        start = self.ring_first[ring]
+        size = self.ring_first[ring + 1] - start
+        cells = self.cells_at(np.repeat(centre_xy, size, axis=0), _ranges(start, size))
+        held = self.counts[cells]
+        ends = np.cumsum(held)
+        base = np.cumsum(n) - n
+
+        whole = np.flatnonzero(2 * drawn > n)
+        owner = np.repeat(whole, n[whole])
+        number = _ranges(np.zeros_like(whole), n[whole])
+        order = np.lexsort((rng.random(len(owner)), owner))
+        rank = np.arange(len(order)) - np.repeat(np.cumsum(n[whole]) - n[whole], n[whole])
+        kept = order[rank < np.repeat(drawn[whole], n[whole])]
+
+        part = np.flatnonzero(2 * drawn <= n)
+        picker = np.repeat(part, drawn[part])
+        at = np.full(len(picker), -1)
+        pending = np.arange(len(picker))
+        while len(pending):
+            i = picker[pending]
+            at[pending] = base[i] + (rng.random(len(pending)) * n[i]).astype(np.intp)
+            by_at = np.argsort(at, kind="stable")
+            repeat = by_at[1:][at[by_at[1:]] == at[by_at[:-1]]]
+            at[repeat] = -1
+            pending = np.sort(repeat)
+
+        pair = np.concatenate((owner[kept], picker))
+        at = np.concatenate((base[owner[kept]] + number[kept], at))
+        grouped = np.argsort(pair, kind="stable")
+        pair, at = pair[grouped], at[grouped]
+        cell = np.searchsorted(ends, at, side="right")
+        return pair, self.by_cell[self.first[cells[cell]] + at - (ends[cell] - held[cell])]
+
+
+def _thinned_association(bs, users, cp, law, rng):
+    """The unit and log-normal laws' association (see :func:`associate`).
+
+    Returns (assignments, serving distance, serving weight, serving gain,
+    near tie), one entry per user.
+    """
+    n_b, n_u = len(bs), len(users)
+    grid = _CellGrid(bs)
+    user_xy = grid.xy_of(users.points)
+    side, half_alpha = bs.window.side, cp.alpha / 2.0
+    user_x, user_y = (np.ascontiguousarray(c) for c in users.points.T)
+    bs_x, bs_y = (np.ascontiguousarray(c) for c in bs.points.T)
+
+    def deltas(x, y, station):
+        """Torus displacements from each station to (x, y), bit for bit as
+        ``distances_to_point((x, y), station point)`` forms them."""
+        return _shortest_way(x - bs_x[station], side), _shortest_way(y - bs_y[station], side)
+
+    # Near block: every link drawn, as one flat (user, station) list.
+    block_stations, block_len = grid.near_blocks()
+    user_cell = user_xy[:, 0] * grid.g + user_xy[:, 1]
+    near_len = block_len[user_cell]
+    near_station = block_stations[_ranges((np.cumsum(block_len) - block_len)[user_cell], near_len)]
+    weights = law.sample_weights(len(near_station), rng)
+    gains = sample_gain(cp, rng, size=len(near_station))
+    near_dx, near_dy = deltas(np.repeat(user_x, near_len), np.repeat(user_y, near_len),
+                              near_station)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        criterion = weights * gains / (near_dx * near_dx + near_dy * near_dy) ** half_alpha
+    best, best_station, best_link, second = _top_two(criterion, near_station, near_len, n_b)
+
+    # Far rings k > s, thinned by the dominating event of their threshold.
+    # W * H = Y * G / m, with ln Y ~ N(mu, sigma^2) and G ~ StandardGamma(m).
+    m, mu, sigma = cp.m, cp.mu + law.mu_w, math.sqrt(cp.sigma2 + law.sigma2_w)
+    log_c_table, log_y_table, p_y_table, p_g_table = _threshold_table(m, mu, sigma)
+    rings = np.arange(NEAR_BLOCK_RADIUS + 1, grid.g // 2 + 1)
+    ring_n = grid.ring_counts(user_cell, rings)
+    with np.errstate(divide="ignore"):
+        log_c = (math.log1p(-NEAR_TIE_RTOL) + np.log(np.maximum(best, 0.0))[:, None]
+                 + cp.alpha * np.log(grid.ring_reach(users.points, rings)))
+    entry = np.searchsorted(log_c_table, log_c, side="right") - 1
+    p_y, p_g = p_y_table[entry], p_g_table[entry]
+    drawn = rng.binomial(ring_n, p_y + p_g - p_y * p_g)
+
+    pairs = np.flatnonzero(drawn)
+    pair_user, pair_ring = np.divmod(pairs, len(rings))
+    cand_pair, cand_station = grid.pick(rng, user_xy[pair_user], rings[pair_ring],
+                                        ring_n.ravel()[pairs], drawn.ravel()[pairs])
+    cand_entry = entry.ravel()[pairs[cand_pair]]
+    ln_y, gamma = _draw_dominating(log_y_table[cand_entry], p_y_table[cand_entry],
+                                   p_g_table[cand_entry], m, mu, sigma,
+                                   rng.random((len(cand_pair), 3)))
+    cand_user = pair_user[cand_pair]
+    cand_dx, cand_dy = deltas(user_x[cand_user], user_y[cand_user], cand_station)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cand_criterion = (np.exp(ln_y) * gamma / m
+                          / (cand_dx * cand_dx + cand_dy * cand_dy) ** half_alpha)
+    cand_best, cand_best_station, cand_top, cand_second = _top_two(
+        cand_criterion, cand_station, np.bincount(cand_user, minlength=n_u), n_b)
+
+    far = (cand_best > best) | ((cand_best == best) & (cand_best_station < best_station))
+    near = ~far
+    top = np.where(far, cand_best, best)
+    runner_up = np.where(far, np.maximum(best, cand_second), np.maximum(second, cand_best))
+    assignments = np.where(far, cand_best_station, best_station)
+
+    serving_distance, serving_weight, serving_gain = np.empty(n_u), np.empty(n_u), np.empty(n_u)
+    link = best_link[near]
+    serving_distance[near] = np.hypot(near_dx[link], near_dy[link])
+    serving_weight[near], serving_gain[near] = weights[link], gains[link]
+    won = cand_top[far]
+    ln_x = ln_y[won]
+    if law.kind == LOGNORMAL and sigma > 0:
+        # ln X | ln Y is normal: the regression of ln X on ln Y, with
+        # residual variance sigma2 * sigma2_w / (sigma2 + sigma2_w).
+        ln_x = (cp.mu + cp.sigma2 / sigma**2 * (ln_x - mu)
+                + math.sqrt(cp.sigma2 * law.sigma2_w) / sigma * rng.standard_normal(len(won)))
+    elif law.kind == LOGNORMAL:
+        ln_x = np.full(len(won), cp.mu)
+    serving_distance[far] = np.hypot(cand_dx[won], cand_dy[won])
+    serving_weight[far] = np.exp(ln_y[won] - ln_x)
+    serving_gain[far] = np.exp(ln_x) * gamma[won] / m
+    with np.errstate(invalid="ignore"):  # a user on a station: x / inf is nan or 0, no tie
+        near_tie = runner_up / top > 1.0 - NEAR_TIE_RTOL
+    return assignments, serving_distance, serving_weight, serving_gain, near_tie
 
 
 def associated_pattern(outcome: AssociationOutcome, bs: PointPattern) -> PointPattern:

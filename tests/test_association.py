@@ -5,11 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from scipy import integrate, stats
+from scipy.special import gammaincc
 
 from voidnet.analytics import pooled_fraction, user_count_pmf, void_prob_nearest, wilson_interval
 from voidnet.association import (
-    ASSOCIATE_BLOCK_ROWS,
+    NEAR_BLOCK_RADIUS,
     NEAR_TIE_RTOL,
+    THRESHOLD_TABLE_SIZE,
+    AssociationOutcome,
+    _CellGrid,
+    _dominating_probabilities,
+    _draw_dominating,
+    _threshold_table,
     _cell_histograms,
     _void_estimates,
     associate,
@@ -18,8 +26,14 @@ from voidnet.association import (
     void_probability_mc,
     void_probability_sweep,
 )
-from voidnet.channel import ChannelParams, WeightLaw, sample_gain
-from voidnet.geometry import SimulationWindow, pairwise_distances
+from voidnet.channel import (
+    SIGMA_IN_DB,
+    ChannelParams,
+    WeightLaw,
+    sample_gain,
+    shadowing_sigma2_from_db,
+)
+from voidnet.geometry import SimulationWindow, distances_to_point, pairwise_distances
 from voidnet.pointprocess import PointPattern, rep_rng, sample_ppp
 
 RAYLEIGH = ChannelParams(m=1.0, mu=0.0, sigma2=0.0, alpha=4.0)
@@ -107,51 +121,333 @@ class TestAssociate:
         assert out.serving_distance[0] == 0.0
 
 
-def reference_associate(bs, users, cp, law, rng):
-    """Unblocked criterion over full matrices, runner-up by ``np.partition``."""
+def dense_criterion(bs, users, cp, weights, gains):
+    """The criterion over full user-by-station matrices of drawn weights
+    and gains, runner-up by ``np.partition``: (assignments, serving
+    distance, serving weight, serving gain, near tie), one entry per user."""
     n_u, n_b = len(users), len(bs)
     dist = pairwise_distances(users.points, bs.points, bs.window)
-    weights = law.sample_weights((n_u, n_b), rng)
-    gains = sample_gain(cp, rng, size=(n_u, n_b))
     with np.errstate(divide="ignore"):
         criterion = weights * gains * dist ** (-cp.alpha)
     rows = np.arange(n_u)
     assignments = np.argmax(criterion, axis=1)
-    near_tie_fraction = 0.0
+    near_tie = np.zeros(n_u, dtype=bool)
     if n_u and n_b >= 2:
         second = np.partition(criterion, n_b - 2, axis=1)[:, n_b - 2]
         near_tie = second / criterion[rows, assignments] > 1.0 - NEAR_TIE_RTOL
-        near_tie_fraction = float(np.mean(near_tie))
     return (assignments, dist[rows, assignments], weights[rows, assignments],
-            gains[rows, assignments], near_tie_fraction)
+            gains[rows, assignments], near_tie)
+
+
+def reference_associate(bs, users, cp, law, rng):
+    """The dense kernel: every link drawn, row by row.  The law the thinned
+    kernel must keep."""
+    n_u, n_b = len(users), len(bs)
+    weights = law.sample_weights((n_u, n_b), rng)
+    gains = sample_gain(cp, rng, size=(n_u, n_b))
+    *picked, near_tie = dense_criterion(bs, users, cp, weights, gains)
+    return (*picked, float(np.mean(near_tie)) if n_u else 0.0)
+
+
+SHADOWED = ChannelParams(m=1.0, mu=0.0, sigma2=shadowing_sigma2_from_db(8.0, SIGMA_IN_DB),
+                         alpha=4.0)
 
 
 class TestAssociateReference:
-    """The blocked dense kernel against the unblocked one it replaced."""
-
-    SHADOWED = ChannelParams(m=1.0, mu=0.0, sigma2=3.39, alpha=4.0)
+    """A grid of at most 2s + 1 cells per side has no far rings, so the
+    thinned kernel draws every link; it must then pick what the dense
+    kernel picks from the same draws, bit for bit."""
 
     @pytest.mark.parametrize("law", [WeightLaw.unit(), WeightLaw.lognormal(0.0, 4.0)],
                              ids=["unit", "lognormal"])
-    @pytest.mark.parametrize("n_u,n_b", [(2 * ASSOCIATE_BLOCK_ROWS + 37, 60),
-                                         (ASSOCIATE_BLOCK_ROWS, 9), (300, 1), (0, 5)])
+    @pytest.mark.parametrize("n_u,n_b", [(549, 60), (256, 9), (300, 1), (0, 5)])
     def test_bit_identical(self, law, n_u, n_b):
         rng = np.random.default_rng(n_u + n_b)
-        users = pattern(rng.uniform(0.0, 10.0, (n_u, 2)))
         bs = pattern(rng.uniform(0.0, 10.0, (n_b, 2)))
-        got_rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
-        out = associate(bs, users, self.SHADOWED, law, got_rng)
-        ref = reference_associate(bs, users, self.SHADOWED, law, ref_rng)
-        got = (out.assignments, out.serving_distance, out.serving_weight,
-               out.serving_gain, out.near_tie_fraction)
-        for field, value, expected in zip(("assignments", "distance", "weight", "gain", "tie"),
-                                          got, ref):
-            assert np.array_equal(value, expected), field
-        assert out.assignments.dtype == ref[0].dtype
-        assert out.serving_weight.flags.writeable  # a fresh array, not the ones view
-        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
-        if n_u > ASSOCIATE_BLOCK_ROWS and n_b > 1:
-            assert 0.0 < out.near_tie_fraction < 1.0
+        users = pattern(rng.uniform(0.0, 10.0, (n_u, 2)))
+        grid = _CellGrid(bs)
+        assert grid.g <= 2 * NEAR_BLOCK_RADIUS + 1
+        out = associate(bs, users, SHADOWED, law, np.random.default_rng(5))
+
+        # The kernel's draws, laid out user by user, each user's stations
+        # in the order its near block lists them.
+        blocks, block_len = grid.near_blocks()
+        assert np.all(block_len == n_b)
+        xy = grid.xy_of(users.points)
+        order = blocks.reshape(grid.g * grid.g, n_b)[xy[:, 0] * grid.g + xy[:, 1]]
+        rows = np.arange(n_u)[:, None]
+        draws = np.random.default_rng(5)
+        weights, gains = np.empty((n_u, n_b)), np.empty((n_u, n_b))
+        weights[rows, order] = law.sample_weights((n_u, n_b), draws)
+        gains[rows, order] = sample_gain(SHADOWED, draws, size=(n_u, n_b))
+        assignments, distance, weight, gain, near_tie = dense_criterion(
+            bs, users, SHADOWED, weights, gains)
+
+        assert np.array_equal(out.assignments, assignments)
+        assert np.array_equal(out.serving_weight, weight)
+        assert np.array_equal(out.serving_gain, gain)
+        assert np.array_equal(out.near_tie, near_tie)
+        # hypot against the square root of the summed squares: one ulp apart.
+        np.testing.assert_array_max_ulp(out.serving_distance, distance, maxulp=1)
+
+
+def far_share(bs, users, assignments):
+    """Share of users served from beyond their near block."""
+    grid = _CellGrid(bs)
+    apart = np.abs(grid.xy_of(users.points) - grid.xy_of(bs.points[assignments]))
+    return float(np.mean(np.minimum(apart, grid.g - apart).max(axis=1) > NEAR_BLOCK_RADIUS))
+
+
+class TestAssociateLaw:
+    """The thinned kernel against the dense oracle, in law, on fixed networks."""
+
+    SEEDS = 500
+
+    @staticmethod
+    def runs(kernel, bs, users, cp, law, seeds):
+        winners, distance, gain, weight, ties = [], [], [], [], 0.0
+        for seed in seeds:
+            out = kernel(bs, users, cp, law, np.random.default_rng(seed))
+            if isinstance(out, AssociationOutcome):
+                out = (out.assignments, out.serving_distance, out.serving_weight,
+                       out.serving_gain, out.near_tie_fraction)
+            winners.append(out[0])
+            distance.append(out[1])
+            weight.append(out[2])
+            gain.append(out[3])
+            ties += out[4] * len(users)
+        return (np.array(winners), np.concatenate(distance), np.concatenate(gain),
+                np.concatenate(weight), ties)
+
+    @pytest.mark.parametrize("cp,law", [
+        (SHADOWED, WeightLaw.unit()),
+        (SHADOWED, WeightLaw.lognormal(0.0, 4.0)),
+        (ChannelParams(m=1.7, mu=0.3, sigma2=1.2, alpha=3.5), WeightLaw.lognormal(-0.4, 0.8)),
+    ], ids=["unit-8dB", "lognormal-0,4-8dB", "m1.7-mu0.3-lognormal"])
+    def test_matches_dense_reference(self, cp, law):
+        rng = np.random.default_rng(7)
+        bs = pattern(rng.uniform(0.0, 10.0, (400, 2)))
+        users = pattern(rng.uniform(0.0, 10.0, (25, 2)))
+        sparse = self.runs(associate, bs, users, cp, law, range(self.SEEDS))
+        dense = self.runs(reference_associate, bs, users, cp, law,
+                          range(10**6, 10**6 + self.SEEDS))
+        # Some winners come from the thinned rings.
+        assert sum(far_share(bs, users, w) for w in sparse[0]) * len(users) >= 5
+
+        # Per-user winner frequencies: one 2 x k contingency table per user,
+        # stations won fewer than 10 times in both runs pooled into one column.
+        chi2, dof = 0.0, 0
+        for u in range(len(users)):
+            stations, index = np.unique(np.concatenate((sparse[0][:, u], dense[0][:, u])),
+                                        return_inverse=True)
+            table = np.array([np.bincount(index[:self.SEEDS], minlength=len(stations)),
+                              np.bincount(index[self.SEEDS:], minlength=len(stations))])
+            common = table.sum(axis=0) >= 10
+            table = np.column_stack((table[:, common], table[:, ~common].sum(axis=1)))
+            table = table[:, table.sum(axis=0) > 0]
+            if table.shape[1] > 1:
+                result = stats.chi2_contingency(table, correction=False)
+                chi2 += result.statistic
+                dof += result.dof
+        assert dof > 0
+        assert stats.chi2.sf(chi2, dof) > 1e-3, (chi2, dof)
+        # Serving distance, gain and weight.  The two kernels round a
+        # distance differently in the last bit, so distances compare at 1e-9.
+        for name, a, b in (("distance", np.round(sparse[1], 9), np.round(dense[1], 9)),
+                           ("gain", sparse[2], dense[2]), ("weight", sparse[3], dense[3])):
+            assert stats.ks_2samp(a, b).pvalue > 1e-3, name
+        # Near-tie rate: two binomial proportions over the same user count.
+        n = self.SEEDS * len(users)
+        p = (sparse[4] + dense[4]) / (2 * n)
+        assert abs(sparse[4] - dense[4]) / n <= 3.0 * math.sqrt(2.0 * p * (1.0 - p) / n) + 1e-12
+
+    def test_reproducible_fresh_outputs(self):
+        rng = np.random.default_rng(8)
+        bs = pattern(rng.uniform(0.0, 10.0, (200, 2)))
+        users = pattern(rng.uniform(0.0, 10.0, (300, 2)))
+        law = WeightLaw.unit()
+        first = associate(bs, users, SHADOWED, law, np.random.default_rng(3))
+        again = associate(bs, users, SHADOWED, law, np.random.default_rng(3))
+        for field in ("assignments", "serving_distance", "serving_weight", "serving_gain",
+                      "near_tie"):
+            assert np.array_equal(getattr(first, field), getattr(again, field)), field
+        assert first.assignments.dtype == np.intp
+        assert first.serving_weight.flags.writeable  # a fresh array, not the ones view
+        assert np.all(first.serving_weight == 1.0)
+        assert 0.0 < first.near_tie_fraction < 1.0
+
+
+def exceed_probability(m, mu, sigma, log_c):
+    """P(Y * G / m > c) by quadrature over ln Y (exactly when sigma = 0)."""
+    if sigma == 0:
+        return float(gammaincc(m, m * math.exp(log_c - mu)))
+    value, _ = integrate.quad(
+        lambda z: stats.norm.pdf(z) * gammaincc(m, m * math.exp(log_c - mu - sigma * z)),
+        -12.0, 12.0, epsabs=1e-13, limit=200)
+    return value
+
+
+class TestDominatingEvent:
+    """D = {Y > y*} U {G > m c / y*}: its probability, its conditional law, its table."""
+
+    CASES = [(1.0, 0.0, 2.72, 2.0, 4.0), (1.7, 0.3, 1.2, 0.5, 1.5), (4.0, -0.2, 0.0, -0.2, 0.8),
+             (0.6, 0.0, 1.0, 3.0, 1.0)]
+
+    @staticmethod
+    def unconditional(rng, m, mu, sigma, n):
+        return mu + sigma * rng.standard_normal(n), rng.standard_gamma(m, n)
+
+    @pytest.mark.parametrize("m,mu,sigma,log_y,log_c", CASES)
+    def test_probability_matches_frequency(self, m, mu, sigma, log_y, log_c):
+        ln_y, g = self.unconditional(np.random.default_rng(11), m, mu, sigma, 400_000)
+        inside = (ln_y > log_y) | (g > m * math.exp(log_c - log_y))
+        p_y, p_g = _dominating_probabilities(log_y, log_c, m, mu, sigma)
+        p = p_y + p_g - p_y * p_g
+        assert abs(inside.mean() - p) < 4.0 * math.sqrt(p * (1.0 - p) / len(g)) + 1e-12
+
+    @pytest.mark.parametrize("m,mu,sigma,log_y,log_c", CASES)
+    def test_conditional_draws_match_rejection(self, m, mu, sigma, log_y, log_c):
+        ln_y, g = self.unconditional(np.random.default_rng(12), m, mu, sigma, 400_000)
+        inside = (ln_y > log_y) | (g > m * math.exp(log_c - log_y))
+        n = min(int(inside.sum()), 40_000)
+        p_y, p_g = _dominating_probabilities(log_y, log_c, m, mu, sigma)
+        drawn_y, drawn_g = _draw_dominating(np.full(n, log_y), np.full(n, p_y), np.full(n, p_g),
+                                            m, mu, sigma, np.random.default_rng(13).random((n, 3)))
+        assert stats.ks_2samp(drawn_g, g[inside]).pvalue > 1e-3
+        assert np.all((drawn_y > log_y) | (drawn_g > m * math.exp(log_c - log_y)))
+        if sigma > 0:
+            assert stats.ks_2samp(drawn_y, ln_y[inside]).pvalue > 1e-3
+        else:
+            assert np.all(drawn_y == mu)
+
+    @given(st.sampled_from([(1.0, 0.0, 2.72), (1.7, 0.3, 1.2), (0.6, -0.5, 0.0), (3.0, 0.4, 0.0)]),
+           st.floats(-30.0, 30.0), st.integers(0, THRESHOLD_TABLE_SIZE), st.floats(0.0, 3.0))
+    def test_rounded_threshold_dominates(self, law, log_y, entry, above):
+        # Any y* with any tabulated c' <= c gives P(D) >= P(Y G / m > c),
+        # the tabulated y* too; sigma = 0 is a degenerate Y.
+        m, mu, sigma = law
+        log_c_table, log_y_table, p_y_table, p_g_table = _threshold_table(m, mu, sigma)
+        log_c = max(log_c_table[entry], log_c_table[1] - 1.0) + above
+        exceed = exceed_probability(m, mu, sigma, log_c)
+        for y in (log_y, log_y_table[entry]):
+            p_y, p_g = _dominating_probabilities(y, log_c_table[entry], m, mu, sigma)
+            assert p_y + p_g - p_y * p_g >= exceed - 1e-9
+        p_table = p_y_table[entry] + p_g_table[entry] - p_y_table[entry] * p_g_table[entry]
+        assert p_table >= exceed - 1e-9
+
+    def test_table_optimises_over_fixed_y(self):
+        m, mu, sigma = 1.0, 0.0, 2.72
+        log_c, log_y, p_y, p_g = _threshold_table(m, mu, sigma)
+        p_table = p_y + p_g - p_y * p_g
+        for y in np.linspace(-20.0, 40.0, 61):
+            fixed_y, fixed_g = _dominating_probabilities(y, log_c, m, mu, sigma)
+            assert np.all(p_table <= (fixed_y + fixed_g - fixed_y * fixed_g) * (1 + 1e-9) + 1e-300)
+        assert p_table[0] == 1.0 and np.all(np.diff(p_table) <= 1e-12)
+        assert p_table[-1] < 1e-14
+
+
+class TestThinnedGrid:
+    """The cell grid of the thinned kernel, at its edge cases."""
+
+    @pytest.mark.parametrize("n_b", [1, 3, 8, 18, 32, 50, 72, 98, 200])
+    def test_near_block_and_rings_partition_the_stations(self, n_b):
+        # Below 2s + 1 cells per side the near block wraps onto itself; it
+        # must still list each station once, and with the rings list every
+        # station exactly once around every cell.
+        rng = np.random.default_rng(n_b)
+        grid = _CellGrid(pattern(rng.uniform(0.0, 10.0, (n_b, 2))))
+        g = grid.g
+        blocks, block_len = grid.near_blocks()
+        rings = np.arange(NEAR_BLOCK_RADIUS + 1, g // 2 + 1)
+        centres = np.arange(g * g)
+        ring_n = grid.ring_counts(centres, rings)
+        assert np.all(block_len + ring_n.sum(axis=1) == n_b)
+        pair_cell, pair_ring = np.divmod(np.flatnonzero(ring_n), max(len(rings), 1))
+        n = ring_n[pair_cell, pair_ring]
+        pair, station = grid.pick(rng, np.stack(np.divmod(pair_cell, g), axis=1),
+                                  rings[pair_ring], n, n)
+        starts = np.cumsum(block_len) - block_len
+        for c in centres:
+            listed = np.concatenate((blocks[starts[c]:starts[c] + block_len[c]],
+                                     station[np.isin(pair, np.flatnonzero(pair_cell == c))]))
+            assert np.array_equal(np.sort(listed), np.arange(n_b))
+        if g < 2 * NEAR_BLOCK_RADIUS + 1:
+            assert len(rings) == 0 and np.all(block_len == n_b)
+
+    @given(st.integers(1, 300), st.integers(0, 2**32 - 1))
+    def test_rings_lie_beyond_their_reach(self, n_b, seed):
+        # Every station of ring k around a user's cell is at least
+        # ring_reach away, so the thinning threshold bounds its criterion.
+        rng = np.random.default_rng(seed)
+        window = SimulationWindow(side=float(rng.uniform(0.5, 20.0)))
+        stations = rng.uniform(0.0, window.side, (n_b, 2))
+        grid = _CellGrid(pattern(stations, window=window))
+        users = rng.uniform(0.0, window.side, (20, 2))
+        rings = np.arange(NEAR_BLOCK_RADIUS + 1, grid.g // 2 + 1)
+        reach = grid.ring_reach(users, rings)
+        xy = grid.xy_of(users)
+        ring_n = grid.ring_counts(xy[:, 0] * grid.g + xy[:, 1], rings)
+        user, ring = np.nonzero(ring_n)
+        pair, station = grid.pick(rng, xy[user], rings[ring], ring_n[user, ring],
+                                  ring_n[user, ring])
+        gap = distances_to_point(users[user[pair]], stations[station], window)
+        assert np.all(gap >= reach[user[pair], ring[pair]] * (1.0 - 1e-12))
+
+    def test_picks_are_distinct_and_uniform(self):
+        rng = np.random.default_rng(21)
+        grid = _CellGrid(pattern(rng.uniform(0.0, 10.0, (300, 2))))
+        ring = NEAR_BLOCK_RADIUS + 1
+        [n] = grid.ring_counts(np.array([0]), np.array([ring]))[0]
+        for drawn in (1, 3, n // 2, n // 2 + 1, n - 1):
+            counts = np.zeros(300)
+            reps = 400
+            pair, station = grid.pick(rng, np.zeros((reps, 2), dtype=np.intp),
+                                      np.full(reps, ring), np.full(reps, n), np.full(reps, drawn))
+            assert np.array_equal(pair, np.repeat(np.arange(reps), drawn))
+            for i in range(reps):
+                assert len(np.unique(station[pair == i])) == drawn
+            np.add.at(counts, station, 1)
+            hit = counts[counts > 0]
+            assert len(hit) == n
+            assert stats.chisquare(hit).pvalue > 1e-3
+
+    @pytest.mark.parametrize("law", [WeightLaw.unit(), WeightLaw.lognormal(0.0, 4.0)],
+                             ids=["unit", "lognormal"])
+    def test_one_station_and_no_users(self, law):
+        users = pattern(np.random.default_rng(2).uniform(0.0, 10.0, (40, 2)))
+        out = associate(pattern([[3.0, 4.0]]), users, SHADOWED, law, np.random.default_rng(1))
+        assert np.all(out.assignments == 0) and out.void_count == 0
+        assert not out.near_tie.any()
+        bs = pattern(np.random.default_rng(3).uniform(0.0, 10.0, (90, 2)))
+        empty = associate(bs, pattern(np.zeros((0, 2))), SHADOWED, law, np.random.default_rng(1))
+        assert len(empty.assignments) == 0 and empty.void_count == 90
+        assert empty.near_tie_fraction == 0.0
+
+    @pytest.mark.parametrize("law", [WeightLaw.unit(), WeightLaw.lognormal(0.0, 4.0)],
+                             ids=["unit", "lognormal"])
+    def test_user_on_station_wins_lowest_index(self, law):
+        rng = np.random.default_rng(4)
+        points = rng.uniform(0.0, 10.0, (150, 2))
+        points[[40, 90]] = points[7]  # stations 7, 40 and 90 coincide
+        users = pattern(np.vstack([points[7], points[[12]], rng.uniform(0.0, 10.0, (30, 2))]))
+        out = associate(pattern(points), users, SHADOWED, law, np.random.default_rng(5))
+        assert out.assignments[0] == 7 and out.serving_distance[0] == 0.0
+        assert out.assignments[1] == 12 and out.serving_distance[1] == 0.0
+
+    @given(st.integers(1, 400), st.integers(0, 300), st.integers(0, 2**32 - 1),
+           st.sampled_from(["unit", "lognormal"]))
+    def test_counts_partition_users_and_distances_are_exact(self, n_b, n_u, seed, kind):
+        rng = np.random.default_rng(seed)
+        window = SimulationWindow(side=float(rng.uniform(0.5, 20.0)))
+        bs = pattern(rng.uniform(0.0, window.side, (n_b, 2)), window=window)
+        users = pattern(rng.uniform(0.0, window.side, (n_u, 2)), window=window)
+        law = WeightLaw.unit() if kind == "unit" else WeightLaw.lognormal(0.3, 2.0)
+        out = associate(bs, users, SHADOWED, law, rng)
+        assert np.array_equal(out.cell_counts, np.bincount(out.assignments, minlength=n_b))
+        assert out.cell_counts.sum() == n_u
+        assert np.array_equal(out.serving_distance,
+                              distances_to_point(users.points, bs.points[out.assignments], window)
+                              if n_u else np.zeros(0))
 
 
 class TestVoidProbabilityMc:

@@ -252,11 +252,12 @@ class TestRunExperiments:
         ]),
         ("coverage", dict(reps=20, law="unit", sigma_db=8.0), [
             "ratio,lambda_b,model,beta,coverage,ci_low,ci_high,reps,near_tie_fraction",
-            "2.0,185.0,all-bs,0.8,0.5,0.2992980081982123,0.7007019918017877,20,0.004967684414480169",
-            "2.0,185.0,void-aware,0.8,0.55,0.34208534245034233,0.7418021417443759,20,"
-            "0.004967684414480169",
-            "2.0,185.0,thinned-ppp,0.8,0.55,0.34208534245034233,0.7418021417443759,20,"
-            "0.004967684414480169",
+            "2.0,185.0,all-bs,0.8,0.8,0.5839825677481064,0.919342337420202,20,"
+            "0.0047689091971373845",
+            "2.0,185.0,void-aware,0.8,0.8,0.5839825677481064,0.919342337420202,20,"
+            "0.0047689091971373845",
+            "2.0,185.0,thinned-ppp,0.8,0.8,0.5839825677481064,0.919342337420202,20,"
+            "0.0047689091971373845",
         ]),
         ("coverage", dict(ratio_grid=(0.5, 2.0), reps=10), [
             "ratio,lambda_b,model,beta,coverage,ci_low,ci_high,reps,near_tie_fraction",

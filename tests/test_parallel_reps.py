@@ -189,6 +189,15 @@ class TestExperiments:
         ))
         assert parallel == serial
 
+    def test_void_probability_sweep_shadowed_lognormal(self, cpus):
+        # the thinned association kernel draws a varying number of candidates
+        cp = ChannelParams(m=1.0, mu=0.0, sigma2=3.39, alpha=4.0)
+        serial, parallel = serial_and_parallel(cpus, lambda: void_probability_sweep(
+            (0.5, 2.0), 370.0, cp, WeightLaw.lognormal(0.0, 4.0), 6, SimulationWindow(side=1.2),
+            seed=69,
+        ))
+        assert parallel == serial
+
     def test_remark2_test(self, cpus):
         serial, parallel = serial_and_parallel(cpus, lambda: remark2_test(
             370.0, 185.0, RAYLEIGH, WeightLaw.nearest(), 6, SimulationWindow(side=1.2), seed=68,
