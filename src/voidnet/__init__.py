@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from .analytics import (
     EstimateWithCI,
-    cell_area_pdf,
     mapped_intensity,
     rho_strongest_power,
     user_count_pmf,
@@ -29,9 +28,9 @@ from .association import (
     void_probability_mc,
     void_probability_sweep,
 )
-from .channel import ChannelParams, WeightLaw, fractional_moment, gain_pdf, sample_gain, zeta_dagger
+from .channel import ChannelParams, WeightLaw, fractional_moment, sample_gain, zeta_dagger
 from .coverage import coverage_sweep, sir_at_typical_user
-from .geometry import SimulationWindow, distance
+from .geometry import SimulationWindow
 from .pointprocess import (
     PointPattern,
     csr_test,
@@ -50,13 +49,10 @@ __all__ = [
     "WeightLaw",
     "associate",
     "associated_pattern",
-    "cell_area_pdf",
     "cell_count_pmf_mc",
     "coverage_sweep",
     "csr_test",
-    "distance",
     "fractional_moment",
-    "gain_pdf",
     "map_pattern",
     "mapped_intensity",
     "ppp_envelope",

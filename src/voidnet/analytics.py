@@ -1,10 +1,11 @@
 """Closed-form cell statistics for Poisson cellular networks.
 
-Covers the gamma approximation of the cell-area law (shape 7/2), the
-negative-binomial law of the per-cell user count, the void probability of
-a cell under nearest-base-station association and under generalized random
-cell association, the Jensen lower bound exp(-lambda_u/lambda_b) and its
-matching upper bound, and the intensity of a randomly mapped PPP.
+Covers the negative-binomial law of the per-cell user count (Poisson
+users over the gamma approximation, shape 7/2, of the cell-area law), the
+void probability of a cell under nearest-base-station association and
+under generalized random cell association, the Jensen lower bound
+exp(-lambda_u/lambda_b) and its matching upper bound, and the intensity
+of a randomly mapped PPP.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ class EstimateWithCI:
     ci_low: float
     ci_high: float
     reps: int
-    seed: int
 
     def __post_init__(self) -> None:
         if not (self.ci_low <= self.value + 1e-12 and self.value <= self.ci_high + 1e-12):
@@ -48,17 +48,17 @@ class EstimateWithCI:
         return self.half_width / Z_95
 
 
-def wilson_interval(p_hat: float, n: float, z: float = Z_95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(p_hat: float, n: float) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion.
 
     ``n`` may be a non-integer effective sample size.  The interval always
     contains ``p_hat``.
     """
     if n <= 0:
         return 0.0, 1.0
-    denom = 1.0 + z * z / n
-    center = (p_hat + z * z / (2.0 * n)) / denom
-    half = z * math.sqrt(p_hat * (1.0 - p_hat) / n + z * z / (4.0 * n * n)) / denom
+    denom = 1.0 + Z_95 * Z_95 / n
+    center = (p_hat + Z_95 * Z_95 / (2.0 * n)) / denom
+    half = Z_95 * math.sqrt(p_hat * (1.0 - p_hat) / n + Z_95 * Z_95 / (4.0 * n * n)) / denom
     return max(0.0, center - half), min(1.0, center + half)
 
 
@@ -114,30 +114,11 @@ def pooled_fraction(numerators, denominators, squares=None) -> tuple[float, floa
     return p_hat, lo, hi
 
 
-def cell_area_pdf(x, lambda_b: float, shape: float = VORONOI_SHAPE):
-    """Gamma approximation of the cell-area density.
-
-    f(x) = (shape * lambda_b * x)^shape * exp(-shape * lambda_b * x)
-           / (Gamma(shape) * x), with mean 1 / lambda_b.
-    """
-    if lambda_b <= 0:
-        raise ValueError("lambda_b must be > 0")
-    if shape <= 0:
-        raise ValueError("shape must be > 0")
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x_arr <= 0):
-        raise ValueError("cell area density is defined for x > 0 only")
-    rate = shape * lambda_b
-    log_pdf = shape * np.log(rate * x_arr) - rate * x_arr - gammaln(shape) - np.log(x_arr)
-    out = np.exp(log_pdf)
-    return float(out[0]) if np.isscalar(x) else out
-
-
-def user_count_pmf(n, lambda_u: float, lambda_b: float, shape: float = VORONOI_SHAPE):
+def user_count_pmf(n, lambda_u: float, lambda_b: float):
     """Probability that a cell contains exactly n users.
 
     Mixing a Poisson(lambda_u * area) count over the gamma cell-area law
-    gives a negative-binomial pmf:
+    of shape ``VORONOI_SHAPE`` gives a negative-binomial pmf:
 
         p_n = Gamma(n + shape) / (n! Gamma(shape))
               * lambda_u^n (shape*lambda_b)^shape
@@ -151,14 +132,14 @@ def user_count_pmf(n, lambda_u: float, lambda_b: float, shape: float = VORONOI_S
     if lambda_u == 0.0:
         out = np.where(n_arr == 0, 1.0, 0.0).astype(float)
         return float(out[0]) if np.isscalar(n) else out
-    rate = shape * lambda_b
+    rate = VORONOI_SHAPE * lambda_b
     log_pmf = (
-        gammaln(n_arr + shape)
-        - gammaln(shape)
+        gammaln(n_arr + VORONOI_SHAPE)
+        - gammaln(VORONOI_SHAPE)
         - gammaln(n_arr + 1.0)
         + n_arr * math.log(lambda_u)
-        + shape * math.log(rate)
-        - (n_arr + shape) * math.log(rate + lambda_u)
+        + VORONOI_SHAPE * math.log(rate)
+        - (n_arr + VORONOI_SHAPE) * math.log(rate + lambda_u)
     )
     out = np.exp(log_pmf)
     return float(out[0]) if np.isscalar(n) else out

@@ -518,7 +518,7 @@ def _replication_cells(
     return outcome.cell_counts
 
 
-def _void_estimates(hists: list[np.ndarray], retain, seed: int) -> list[EstimateWithCI]:
+def _void_estimates(hists: list[np.ndarray], retain) -> list[EstimateWithCI]:
     """Pooled void fraction at each user retention probability ``p`` in ``retain``.
 
     Thinning the users of a cell that holds K of them independently with
@@ -539,9 +539,7 @@ def _void_estimates(hists: list[np.ndarray], retain, seed: int) -> list[Estimate
     estimates = []
     for p, column, column_squares in zip(retain, voids.T, squares.T):
         p_hat, lo, hi = pooled_fraction(column, cells, column_squares if p < 1.0 else None)
-        estimates.append(
-            EstimateWithCI(value=p_hat, ci_low=lo, ci_high=hi, reps=len(hists), seed=seed)
-        )
+        estimates.append(EstimateWithCI(value=p_hat, ci_low=lo, ci_high=hi, reps=len(hists)))
     return estimates
 
 
@@ -581,7 +579,7 @@ def _cell_histograms(
         return np.bincount(counts, minlength=1)
 
     def done(hists: list[np.ndarray]) -> bool:
-        return all(e.half_width <= half_width for e in _void_estimates(hists, retain, seed))
+        return all(e.half_width <= half_width for e in _void_estimates(hists, retain))
 
     return run_reps(draw, seed, reps, None if half_width is None else done)
 
@@ -630,7 +628,7 @@ def void_probability_sweep(
     retain = [r / r_top for r in ratios]
     hists = _cell_histograms(lambda_u / r_top, lambda_u, cp, law, reps, window, seed, half_width,
                              retain)
-    return _void_estimates(hists, retain, seed)
+    return _void_estimates(hists, retain)
 
 
 def void_probability_mc(
@@ -657,7 +655,7 @@ def void_probability_mc(
     allows ``lambda_u = 0``.
     """
     hists = _cell_histograms(lambda_b, lambda_u, cp, law, reps, window, seed, half_width)
-    return _void_estimates(hists, (1.0,), seed)[0]
+    return _void_estimates(hists, (1.0,))[0]
 
 
 @dataclass(frozen=True)
@@ -670,7 +668,6 @@ class CellCountPmf:
     ci_high: np.ndarray
     mean: float
     reps: int
-    seed: int
 
 
 def cell_count_pmf_mc(
@@ -705,5 +702,4 @@ def cell_count_pmf_mc(
         ci_high=hi,
         mean=float((hist @ n_values).sum() / total_cells),
         reps=len(hists),
-        seed=seed,
     )

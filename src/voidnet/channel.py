@@ -13,26 +13,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammaln
 
 LN10_OVER_10 = math.log(10.0) / 10.0
 
 SIGMA_IN_DB = "sigma-in-db"
 SIGMA2_IN_DB = "sigma2-in-db"
-
-
-class QuadratureError(RuntimeError):
-    """Raised when the gain-density quadrature misses its tolerance."""
-
-    def __init__(self, message: str, achieved_tol: float):
-        super().__init__(f"{message} (achieved tolerance {achieved_tol:.3e})")
-        self.message = message
-        self.achieved_tol = achieved_tol
-
-    def __reduce__(self):
-        # The default rebuilds from ``args``, the formatted message alone.
-        return type(self), (self.message, self.achieved_tol)
 
 
 def shadowing_sigma2_from_db(value_db: float, convention: str) -> float:
@@ -71,11 +57,6 @@ class ChannelParams:
             raise ValueError(f"sigma2 must be >= 0, got {self.sigma2}")
         if not (np.isfinite(self.alpha) and self.alpha > 2):
             raise ValueError(f"path-loss exponent must be > 2, got {self.alpha}")
-
-    @property
-    def mean_gain(self) -> float:
-        """E[H] = exp(mu + sigma2 / 2); the gamma stage has unit mean."""
-        return math.exp(self.mu + self.sigma2 / 2.0)
 
 
 NEAREST = "nearest"
@@ -153,50 +134,6 @@ def sample_gain(cp: ChannelParams, rng: np.random.Generator, size=None):
     if size is None:
         return float(h)
     return h
-
-
-def gain_pdf(cp: ChannelParams, h, abs_tol: float = 1e-8):
-    """Density of the composite gain at ``h`` by adaptive quadrature.
-
-    The mixture integral over the shadowing level x is evaluated on the
-    log axis y = ln x, where the integrand
-    exp(-m*y - m*h*exp(-y) - (y - mu)^2 / (2*sigma2)) is smooth and
-    unimodal.  Degenerate shadowing (sigma2 = 0) collapses to the plain
-    gamma density.  Raises :class:`QuadratureError` if the requested
-    absolute tolerance is not met.
-    """
-    h_arr = np.atleast_1d(np.asarray(h, dtype=float))
-    if np.any(h_arr <= 0):
-        raise ValueError("gain density is defined for h > 0 only")
-
-    m, mu, s2 = cp.m, cp.mu, cp.sigma2
-    if s2 == 0.0:
-        log_pdf = (
-            m * math.log(m)
-            + (m - 1.0) * np.log(h_arr)
-            - m * h_arr * math.exp(-mu)
-            - gammaln(m)
-            - m * mu
-        )
-        out = np.exp(log_pdf)
-        return float(out[0]) if np.isscalar(h) else out
-
-    sigma = math.sqrt(s2)
-    prefactor_log = m * math.log(m) - gammaln(m) - 0.5 * math.log(2.0 * math.pi * s2)
-    out = np.empty_like(h_arr)
-    for i, hv in enumerate(h_arr):
-        def integrand(y, hv=hv):
-            return math.exp(-m * y - m * hv * math.exp(-y) - (y - mu) ** 2 / (2.0 * s2))
-
-        # The exponent peaks near the larger of mu and ln(h); integrate a
-        # generous normal-tail range around both.
-        lo = min(mu, math.log(hv)) - 12.0 * sigma - 5.0
-        hi = max(mu, math.log(hv)) + 12.0 * sigma + 5.0
-        value, err = integrate.quad(integrand, lo, hi, epsabs=abs_tol, epsrel=1e-10, limit=200)
-        if err > max(abs_tol, 1e-10 * abs(value)) * 10.0:
-            raise QuadratureError("gain-density quadrature did not converge", achieved_tol=err)
-        out[i] = math.exp(prefactor_log + (m - 1.0) * math.log(hv)) * value
-    return float(out[0]) if np.isscalar(h) else out
 
 
 def _unit_law_log_moment(cp: ChannelParams, p: float) -> float:

@@ -76,16 +76,6 @@ def wrapped_deltas(points, origin, window: SimulationWindow) -> np.ndarray:
     return _shortest_way(d, window.side)
 
 
-def distance(a, b, window: SimulationWindow) -> float:
-    """Toroidal distance between two points.
-
-    Toroidal distances are symmetric, satisfy the triangle inequality and
-    are bounded by side * sqrt(2) / 2.
-    """
-    delta = wrapped_deltas(_as_xy(a)[None, :], b, window)
-    return float(np.hypot(delta[0, 0], delta[0, 1]))
-
-
 def distances_to_point(points, origin, window: SimulationWindow) -> np.ndarray:
     """Distances from every row of ``points`` to ``origin``."""
     pts = _as_xy(points)

@@ -96,8 +96,8 @@ def auto_side(lambda_b: float, lambda_u: float, min_expected: float = MIN_EXPECT
     return math.ceil(side * 1000.0) / 1000.0
 
 
-def auto_window(lambda_b: float, lambda_u: float, min_expected: float = MIN_EXPECTED_POINTS) -> SimulationWindow:
-    return SimulationWindow(side=auto_side(lambda_b, lambda_u, min_expected))
+def auto_window(lambda_b: float, lambda_u: float) -> SimulationWindow:
+    return SimulationWindow(side=auto_side(lambda_b, lambda_u))
 
 
 def suggested_reps(p_guess: float, expected_stations: float, half_width: float) -> int:

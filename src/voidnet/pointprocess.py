@@ -3,10 +3,10 @@
 Implements sampling of homogeneous PPPs on a window, the per-point random
 scaling map (each point is scaled about the window centre by its own
 i.i.d. positive scale factor, which turns an intensity-lambda PPP into one
-of intensity lambda * E[1/T^2]), nearest-point distances, a
-quadrat-count chi-square test of complete spatial randomness, and the
-replication engine every Monte-Carlo estimate runs on (:func:`run_reps`),
-which splits the replications of a batch across the usable CPUs.
+of intensity lambda * E[1/T^2]), a quadrat-count chi-square test of
+complete spatial randomness, and the replication engine every
+Monte-Carlo estimate runs on (:func:`run_reps`), which splits the
+replications of a batch across the usable CPUs.
 """
 
 from __future__ import annotations
@@ -236,8 +236,8 @@ def sample_ppp(intensity: float, window: SimulationWindow, rng: np.random.Genera
 def map_pattern(
     pattern: PointPattern,
     marks: np.ndarray,
-    target: SimulationWindow | None = None,
-    mean_inverse_square: float | None = None,
+    target: SimulationWindow,
+    mean_inverse_square: float,
 ) -> PointPattern:
     """Scale every point about the window centre by its own mark.
 
@@ -250,20 +250,16 @@ def map_pattern(
     The source window must be large enough that points which would map
     into the target from outside it are negligible; marks below
     target_side / source_side lose coverage (see
-    :func:`mark_expansion_factor`).  With ``target=None`` the source
-    window itself is the target, which is only adequate when no mark is
-    below 1.
+    :func:`mark_expansion_factor`).
 
-    ``mean_inverse_square`` supplies E[1/T^2] for the declared output
-    intensity; when omitted, the realized mean of 1/t_i^2 is used instead.
+    ``mean_inverse_square`` is E[1/T^2] of the mark law; the declared
+    output intensity is the source's times it.
     """
     t = np.atleast_1d(np.asarray(marks, dtype=float))
     if len(t) != len(pattern):
         raise ValueError(f"need one mark per point: {len(t)} marks for {len(pattern)} points")
     if len(t) and (not np.all(np.isfinite(t)) or np.any(t <= 0)):
         raise ValueError("marks must be positive and finite")
-    if target is None:
-        target = pattern.window
 
     src_c = pattern.window.side / 2.0
     tgt_c = target.side / 2.0
@@ -274,31 +270,24 @@ def map_pattern(
     else:
         kept = pattern.points
 
-    if mean_inverse_square is None:
-        mean_inverse_square = float(np.mean(1.0 / t**2)) if len(t) else 1.0
     out_intensity = pattern.intensity_declared * mean_inverse_square
     return PointPattern(points=kept, window=target, intensity_declared=out_intensity)
 
 
-def mark_expansion_factor(
-    mark_sampler,
-    rng: np.random.Generator,
-    rel_tail: float = 1e-4,
-    n_samples: int = 200_000,
-) -> float:
+def mark_expansion_factor(mark_sampler, rng: np.random.Generator) -> float:
     """Source/target side ratio adequate for :func:`map_pattern`.
 
-    Estimates, by simulation of the mark law, the smallest quantile t*
-    such that marks below t* contribute at most ``rel_tail`` of E[1/T^2];
+    Estimates, from 200,000 draws of the mark law, the smallest quantile t*
+    such that marks below t* contribute at most 1e-4 of E[1/T^2];
     source points further than (target half-width) / t* from the centre
     then have a negligible chance of mapping into the target.  Returns
     max(1, 1/t*).
     """
-    t = np.sort(np.asarray(mark_sampler(rng, n_samples), dtype=float))
+    t = np.sort(np.asarray(mark_sampler(rng, 200_000), dtype=float))
     if t[0] <= 0:
         raise ValueError("mark sampler produced non-positive values")
     contribution = np.cumsum(1.0 / t**2)  # running E[1/T^2] share of the smallest marks
-    droppable = int(np.searchsorted(contribution, rel_tail * contribution[-1]))
+    droppable = int(np.searchsorted(contribution, 1e-4 * contribution[-1]))
     t_star = float(t[min(droppable, len(t) - 1)])
     return max(1.0, 1.0 / t_star)
 
@@ -310,8 +299,6 @@ class CsrReport:
     statistic: float
     dof: int
     p_value: float
-    counts: np.ndarray
-    expected_per_cell: float
 
 
 def csr_test(pattern: PointPattern, grid: int) -> CsrReport:
@@ -343,4 +330,4 @@ def csr_test(pattern: PointPattern, grid: int) -> CsrReport:
     statistic = float(np.sum((counts - expected) ** 2) / expected)
     dof = cells - 1
     p_value = float(min(1.0, 2.0 * min(stats.chi2.cdf(statistic, dof), stats.chi2.sf(statistic, dof))))
-    return CsrReport(statistic=statistic, dof=dof, p_value=p_value, counts=counts, expected_per_cell=expected)
+    return CsrReport(statistic=statistic, dof=dof, p_value=p_value)

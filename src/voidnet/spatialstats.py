@@ -7,7 +7,7 @@ non-void (associated) base stations still looks like a homogeneous PPP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -43,9 +43,9 @@ class KFunctionEstimate:
             raise ValueError("k_hat must be non-negative and non-decreasing")
 
 
-def default_radii(window: SimulationWindow, n: int = 20) -> np.ndarray:
-    """Evenly spaced radii from side/50 up to the side/4 cap."""
-    return np.linspace(window.side / 50.0, window.side * MAX_RADIUS_FRACTION, n)
+def default_radii(window: SimulationWindow) -> np.ndarray:
+    """Twenty evenly spaced radii from side/50 up to the side/4 cap."""
+    return np.linspace(window.side / 50.0, window.side * MAX_RADIUS_FRACTION, 20)
 
 
 def ripley_k(pattern: PointPattern, radii) -> KFunctionEstimate:
@@ -116,15 +116,12 @@ class Remark2Report:
     radii: np.ndarray
     exit_fraction: float
     per_radius_exit_rate: np.ndarray
-    per_radius_low_rate: np.ndarray
-    per_radius_high_rate: np.ndarray
     k_hat_mean: np.ndarray
     envelope_low: np.ndarray
     envelope_high: np.ndarray
     matched_intensity: float
     void_fraction: float
-    reps: int
-    uninformative: bool = field(default=False)
+    uninformative: bool
 
 
 def remark2_test(
@@ -135,19 +132,19 @@ def remark2_test(
     reps: int,
     window: SimulationWindow,
     seed: int,
-    radii=None,
     n_envelope: int = 99,
 ) -> Remark2Report:
     """Compare associated-station K functions against a CSR envelope.
 
     Runs ``reps`` association rounds, thins each round to its non-void
-    stations, and checks their K_hat against an envelope of PPPs at the
-    matched intensity (1 - void fraction) * lambda_b.  When the realized
+    stations, and checks their K_hat at the window's :func:`default_radii`
+    against an envelope of PPPs at the matched intensity
+    (1 - void fraction) * lambda_b.  When the realized
     void fraction is negligible the report is flagged uninformative: the
     pattern is then nearly the full PPP and only the false-positive floor
     remains.
     """
-    r = default_radii(window) if radii is None else np.atleast_1d(np.asarray(radii, dtype=float))
+    r = default_radii(window)
 
     def draw(rng: np.random.Generator) -> tuple[np.ndarray, int, int]:
         bs = sample_ppp(lambda_b, window, rng)
@@ -169,20 +166,15 @@ def remark2_test(
     lo, hi = ppp_envelope(matched, window, r, n_envelope=n_envelope, seed=seed + 1)
 
     k_all = np.array([k for k, _, _ in results])
-    below = k_all < lo
-    above = k_all > hi
-    exits = below | above
+    exits = (k_all < lo) | (k_all > hi)
     return Remark2Report(
         radii=r,
         exit_fraction=float(exits.mean()),
         per_radius_exit_rate=exits.mean(axis=0),
-        per_radius_low_rate=below.mean(axis=0),
-        per_radius_high_rate=above.mean(axis=0),
         k_hat_mean=k_all.mean(axis=0),
         envelope_low=lo,
         envelope_high=hi,
         matched_intensity=matched,
         void_fraction=float(void_fraction),
-        reps=reps,
         uninformative=bool(void_fraction < 0.01),
     )

@@ -2,13 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import stats
 from scipy.spatial import cKDTree
 
 from voidnet.analytics import (
     EstimateWithCI,
     VORONOI_SHAPE,
-    cell_area_pdf,
     mapped_intensity,
     pooled_fraction,
     rho_strongest_power,
@@ -23,44 +22,27 @@ from voidnet.geometry import SimulationWindow
 from voidnet.pointprocess import rep_rng, sample_ppp
 
 
-class TestCellAreaPdf:
-    def test_normalization(self):
-        total, _ = integrate.quad(lambda x: cell_area_pdf(x, 100.0), 0.0, np.inf, limit=200)
-        assert total == pytest.approx(1.0, abs=1e-6)
-
-    def test_mean_is_inverse_intensity(self):
-        mean, _ = integrate.quad(lambda x: x * cell_area_pdf(x, 100.0), 0.0, np.inf, limit=200)
-        assert mean == pytest.approx(0.01, abs=1e-6)
-
-    def test_domain_violations(self):
-        with pytest.raises(ValueError):
-            cell_area_pdf(-1.0, 100.0)
-        with pytest.raises(ValueError):
-            cell_area_pdf(1.0, 0.0)
-        with pytest.raises(ValueError):
-            cell_area_pdf(1.0, 100.0, shape=0.0)
-
-    def test_voronoi_area_oracle_ks(self):
-        # empirical cell areas measured by fine-grid integration of
-        # nearest-station membership on the torus
-        lam = 100.0
-        side = math.sqrt(8.0 / lam)
-        window = SimulationWindow(side=side)
-        ngrid = 96
-        g = (np.arange(ngrid) + 0.5) * side / ngrid
-        gx, gy = np.meshgrid(g, g)
-        grid_pts = np.column_stack([gx.ravel(), gy.ravel()])
-        pixel = (side / ngrid) ** 2
-        areas = []
-        for r in range(1000):
-            bs = sample_ppp(lam, window, rep_rng(31, r))
-            if len(bs) == 0:
-                continue
-            _, idx = cKDTree(bs.points, boxsize=side).query(grid_pts)
-            areas.extend(np.bincount(idx, minlength=len(bs)) * pixel)
-        areas = np.asarray(areas)
-        res = stats.kstest(areas, stats.gamma(a=VORONOI_SHAPE, scale=1.0 / (VORONOI_SHAPE * lam)).cdf)
-        assert res.statistic < 1.628 / math.sqrt(len(areas))  # 1% critical value
+def test_voronoi_area_oracle_ks():
+    # empirical cell areas measured by fine-grid integration of
+    # nearest-station membership on the torus
+    lam = 100.0
+    side = math.sqrt(8.0 / lam)
+    window = SimulationWindow(side=side)
+    ngrid = 96
+    g = (np.arange(ngrid) + 0.5) * side / ngrid
+    gx, gy = np.meshgrid(g, g)
+    grid_pts = np.column_stack([gx.ravel(), gy.ravel()])
+    pixel = (side / ngrid) ** 2
+    areas = []
+    for r in range(1000):
+        bs = sample_ppp(lam, window, rep_rng(31, r))
+        if len(bs) == 0:
+            continue
+        _, idx = cKDTree(bs.points, boxsize=side).query(grid_pts)
+        areas.extend(np.bincount(idx, minlength=len(bs)) * pixel)
+    areas = np.asarray(areas)
+    res = stats.kstest(areas, stats.gamma(a=VORONOI_SHAPE, scale=1.0 / (VORONOI_SHAPE * lam)).cdf)
+    assert res.statistic < 1.628 / math.sqrt(len(areas))  # 1% critical value
 
 
 class TestUserCountPmf:
@@ -223,7 +205,7 @@ class TestMappedIntensity:
 class TestEstimateMachinery:
     def test_interval_contains_value(self):
         with pytest.raises(ValueError):
-            EstimateWithCI(value=0.5, ci_low=0.6, ci_high=0.7, reps=10, seed=0)
+            EstimateWithCI(value=0.5, ci_low=0.6, ci_high=0.7, reps=10)
 
     def test_wilson_contains_p_hat(self):
         for p in (0.0, 0.02, 0.5, 0.97, 1.0):

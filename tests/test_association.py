@@ -549,7 +549,7 @@ class TestVoidProbabilitySweep:
             served = {cell for cell, keep in zip(owner, kept) if keep}
             expected += prob * (len(cell_users) - len(served))
         hist = np.bincount(cell_users, minlength=1)
-        [est] = _void_estimates([hist], [p], seed=0)
+        [est] = _void_estimates([hist], [p])
         assert est.value * len(cell_users) == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     @given(st.lists(st.lists(st.integers(0, 30), min_size=1, max_size=8), min_size=1, max_size=6),
@@ -561,7 +561,7 @@ class TestVoidProbabilitySweep:
         # void count and keeps the cell-count cap bit for bit.
         hists = [np.array(h) for h in rows]
         assume(sum(h.sum() for h in hists) > 0)
-        thinned, indicator = _void_estimates(hists, [p, 1.0], seed=0)
+        thinned, indicator = _void_estimates(hists, [p, 1.0])
         width = max(len(h) for h in hists)
         counts = np.array([np.pad(h, (0, width - len(h))) for h in hists])
         cells = counts.sum(axis=1)

@@ -1,18 +1,16 @@
 import math
-import pickle
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.special import gammaln
 
 from voidnet.channel import (
     SIGMA2_IN_DB,
     SIGMA_IN_DB,
     ChannelParams,
-    QuadratureError,
     WeightLaw,
     fractional_moment,
-    gain_pdf,
     sample_gain,
     shadowing_sigma2_from_db,
     zeta_dagger,
@@ -21,11 +19,23 @@ from voidnet.channel import (
 RAYLEIGH = ChannelParams(m=1.0, mu=0.0, sigma2=0.0, alpha=4.0)
 
 
-def test_quadrature_error_pickles():
-    error = pickle.loads(pickle.dumps(QuadratureError("no convergence", achieved_tol=1e-3)))
-    assert isinstance(error, QuadratureError)
-    assert str(error) == "no convergence (achieved tolerance 1.000e-03)"
-    assert error.achieved_tol == 1e-3
+def _gain_pdf(cp: ChannelParams, h: float) -> float:
+    """Composite-gain density at ``h`` > 0, an oracle for the sampler and moments.
+
+    The mixture integral over the shadowing level x runs on the log axis
+    y = ln x, where exp(-m*y - m*h*exp(-y) - (y - mu)^2 / (2*sigma2)) is
+    smooth and unimodal.  Needs sigma2 > 0.
+    """
+    m, mu, s2 = cp.m, cp.mu, cp.sigma2
+    sigma = math.sqrt(s2)
+    # The exponent peaks near the larger of mu and ln(h); cover both generously.
+    lo = min(mu, math.log(h)) - 12.0 * sigma - 5.0
+    hi = max(mu, math.log(h)) + 12.0 * sigma + 5.0
+    value, _ = integrate.quad(
+        lambda y: math.exp(-m * y - m * h * math.exp(-y) - (y - mu) ** 2 / (2.0 * s2)),
+        lo, hi, limit=200)
+    log_prefactor = m * math.log(m) - gammaln(m) - 0.5 * math.log(2.0 * math.pi * s2)
+    return math.exp(log_prefactor + (m - 1.0) * math.log(h)) * value
 
 
 class TestChannelParams:
@@ -42,15 +52,12 @@ class TestChannelParams:
         with pytest.raises(ValueError):
             ChannelParams(**kwargs)
 
-    def test_mean_gain_formula(self):
-        cp = ChannelParams(m=2.0, mu=0.3, sigma2=0.8, alpha=4.0)
-        assert cp.mean_gain == pytest.approx(math.exp(0.3 + 0.4))
-
     def test_mean_gain_matches_samples(self):
+        # E[H] = exp(mu + sigma2 / 2); the gamma stage has unit mean
         cp = ChannelParams(m=2.0, mu=0.2, sigma2=0.5, alpha=4.0)
         h = sample_gain(cp, np.random.default_rng(1), size=200_000)
         se = h.std(ddof=1) / np.sqrt(len(h))
-        assert abs(h.mean() - cp.mean_gain) < 3.0 * se
+        assert abs(h.mean() - math.exp(0.2 + 0.25)) < 3.0 * se
 
 
 class TestSampleGain:
@@ -79,13 +86,9 @@ class TestSampleGain:
 
 
 class TestGainPdf:
-    def test_collapses_to_exponential(self):
-        for h in (0.5, 1.0, 2.0):
-            assert gain_pdf(RAYLEIGH, h) == pytest.approx(math.exp(-h), abs=1e-6)
-
     def test_normalization(self):
         cp = ChannelParams(m=2.0, mu=0.3, sigma2=0.8, alpha=4.0)
-        total, _ = integrate.quad(lambda h: gain_pdf(cp, h), 0.0, np.inf, limit=200)
+        total, _ = integrate.quad(lambda h: _gain_pdf(cp, h), 0.0, np.inf, limit=200)
         assert total == pytest.approx(1.0, abs=1e-4)
 
     def test_histogram_cross_oracle(self):
@@ -98,14 +101,10 @@ class TestGainPdf:
         probs = np.empty(len(counts))
         for i in range(len(counts)):
             hi = edges[i + 1] if np.isfinite(edges[i + 1]) else np.inf
-            probs[i], _ = integrate.quad(lambda x: gain_pdf(cp, x), max(edges[i], 1e-12), hi, limit=200)
+            probs[i], _ = integrate.quad(lambda x: _gain_pdf(cp, x), max(edges[i], 1e-12), hi, limit=200)
         probs /= probs.sum()
         res = stats.chisquare(counts, probs * len(h))
         assert res.pvalue > 0.01
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            gain_pdf(RAYLEIGH, 0.0)
 
 
 class TestFractionalMoment:
@@ -127,7 +126,7 @@ class TestFractionalMoment:
     def test_half_moment_quadrature_oracle(self):
         # independent check: integrate h^p against the mixture density
         cp = ChannelParams(m=1.0, mu=0.2, sigma2=0.4, alpha=4.0)
-        oracle, _ = integrate.quad(lambda h: h**0.5 * gain_pdf(cp, h), 0.0, np.inf, limit=200)
+        oracle, _ = integrate.quad(lambda h: h**0.5 * _gain_pdf(cp, h), 0.0, np.inf, limit=200)
         assert fractional_moment(cp, WeightLaw.unit(), 0.5) == pytest.approx(oracle, abs=1e-6)
 
     def test_divergence_flagged(self):

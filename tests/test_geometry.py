@@ -4,7 +4,6 @@ from scipy import stats
 
 from voidnet.geometry import (
     SimulationWindow,
-    distance,
     distances_to_point,
     pairwise_distances,
     uniform_points,
@@ -30,31 +29,34 @@ def edge_points(side, rng, n):
 
 
 class TestDistance:
+    """Metric properties of ``distances_to_point`` on one-row inputs."""
+
     def test_identity(self, torus10):
-        assert distance((0.0, 0.0), (0.0, 0.0), torus10) == 0.0
+        assert distances_to_point([(0.0, 0.0)], (0.0, 0.0), torus10)[0] == 0.0
 
     def test_wrap(self, torus10):
         # 9 apart the direct way, 1 the short way around
-        assert distance((0.0, 0.0), (9.0, 0.0), torus10) == pytest.approx(1.0)
+        assert distances_to_point([(0.0, 0.0)], (9.0, 0.0), torus10)[0] == pytest.approx(1.0)
 
     def test_three_four_five(self, torus10):
         # no wrap active: classic 3-4-5 triangle
-        assert distance((1.0, 1.0), (4.0, 5.0), torus10) == pytest.approx(5.0)
+        assert distances_to_point([(1.0, 1.0)], (4.0, 5.0), torus10)[0] == pytest.approx(5.0)
 
     def test_symmetry(self, torus10):
         rng = np.random.default_rng(2)
         for _ in range(200):
             a = rng.uniform(0, 10, 2)
             b = rng.uniform(0, 10, 2)
-            assert distance(a, b, torus10) == pytest.approx(distance(b, a, torus10))
+            assert distances_to_point([a], b, torus10)[0] == pytest.approx(
+                distances_to_point([b], a, torus10)[0])
 
     def test_triangle_inequality(self, torus10):
         rng = np.random.default_rng(3)
         for _ in range(500):
             a, b, c = rng.uniform(0, 10, (3, 2))
-            ab = distance(a, b, torus10)
-            bc = distance(b, c, torus10)
-            ac = distance(a, c, torus10)
+            ab = distances_to_point([a], b, torus10)[0]
+            bc = distances_to_point([b], c, torus10)[0]
+            ac = distances_to_point([a], c, torus10)[0]
             assert ac <= ab + bc + 1e-12
 
     def test_max_distance_bound(self, torus10):
@@ -69,7 +71,7 @@ class TestDistance:
         origin = (9.5, 0.2)
         vec = distances_to_point(pts, origin, torus10)
         for p, d in zip(pts, vec):
-            assert d == pytest.approx(distance(p, origin, torus10))
+            assert d == distances_to_point([p], origin, torus10)[0]
 
 
 class TestReferenceFormula:
@@ -113,7 +115,7 @@ class TestOutOfWindow:
         assert np.allclose(distances_to_point(a + shift, origin - shift, torus10),
                            expected[:, 0], rtol=0, atol=1e-12)
         for p, d in zip(a[:10], expected[:10, 0]):
-            assert abs(distance(p + shift, origin, torus10) - d) <= 1e-12
+            assert abs(distances_to_point([p + shift], origin, torus10)[0] - d) <= 1e-12
 
 
 class TestWindow:

@@ -229,7 +229,7 @@ class TestRunExperiments:
 
         def fake_sweep(ratios, *args, half_width=None):
             calls.append(half_width)
-            return [EstimateWithCI(value=0.2, ci_low=0.19, ci_high=0.21, reps=123, seed=args[-1])
+            return [EstimateWithCI(value=0.2, ci_low=0.19, ci_high=0.21, reps=123)
                     for _ in ratios]
 
         monkeypatch.setattr(harness, "void_probability_sweep", fake_sweep)
@@ -317,8 +317,8 @@ class TestRunExperiments:
 
         def fake_sweep(ratios, *args, half_width=None):
             calls.append(args[3])
-            return [EstimateWithCI(value=0.2, ci_low=0.19, ci_high=0.21, reps=args[3],
-                                   seed=args[-1]) for _ in ratios]
+            return [EstimateWithCI(value=0.2, ci_low=0.19, ci_high=0.21, reps=args[3])
+                    for _ in ratios]
 
         monkeypatch.setattr(harness, "void_probability_sweep", fake_sweep)
         base = dict(experiment="void-prob", law="unit", sigma_db=8.0, ratio_grid=(0.5, 2.0))

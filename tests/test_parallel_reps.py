@@ -15,13 +15,29 @@ import pytest
 
 from voidnet import harness, pointprocess
 from voidnet.association import void_probability_sweep
-from voidnet.channel import ChannelParams, QuadratureError, WeightLaw
+from voidnet.channel import ChannelParams, WeightLaw
 from voidnet.coverage import coverage_sweep
 from voidnet.geometry import SimulationWindow
 from voidnet.pointprocess import rep_rng, run_reps
 from voidnet.spatialstats import ppp_envelope, remark2_test
 
 RAYLEIGH = ChannelParams(m=1.0, mu=0.0, sigma2=0.0, alpha=4.0)
+
+
+class QuadratureError(RuntimeError):
+    """A numerical failure whose constructor takes two arguments.
+
+    The default pickling rebuilds an exception from ``args``, here the
+    formatted message alone, so ``__reduce__`` must pass both back.
+    """
+
+    def __init__(self, message: str, achieved_tol: float):
+        super().__init__(f"{message} (achieved tolerance {achieved_tol:.3e})")
+        self.message = message
+        self.achieved_tol = achieved_tol
+
+    def __reduce__(self):
+        return type(self), (self.message, self.achieved_tol)
 
 
 @pytest.fixture

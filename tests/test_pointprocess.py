@@ -68,20 +68,23 @@ class TestSamplePpp:
 class TestMapPattern:
     def test_unit_marks_identity(self):
         p = sample_ppp(200.0, UNIT_WINDOW, np.random.default_rng(2))
-        mapped = map_pattern(p, np.ones(len(p)))
+        mapped = map_pattern(p, np.ones(len(p)), UNIT_WINDOW, 1.0)
         assert np.array_equal(mapped.points, p.points)
         assert mapped.intensity_declared == pytest.approx(p.intensity_declared)
 
     def test_scaling_mark_objects_accepted(self):
         p = PointPattern(points=np.array([[0.25, 0.25], [0.75, 0.75]]),
                          window=UNIT_WINDOW, intensity_declared=2.0)
-        mapped = map_pattern(p, np.array([1.0, 1.0]))
+        mapped = map_pattern(p, np.array([1.0, 1.0]), UNIT_WINDOW, 1.0)
         assert np.array_equal(mapped.points, p.points)
 
     def test_deterministic_two_declares_quarter_intensity(self):
         p = sample_ppp(1.0, SimulationWindow(side=20.0), np.random.default_rng(3))
-        mapped = map_pattern(p, np.full(len(p), 2.0))
+        mapped = map_pattern(p, np.full(len(p), 2.0), p.window, 0.25)
         assert mapped.intensity_declared == pytest.approx(0.25)
+        # only the central 10 x 10 square stays inside once doubled about the centre
+        central = p.points[np.all((p.points >= 5.0) & (p.points < 15.0), axis=1)]
+        assert np.allclose(mapped.points, 10.0 + 2.0 * (central - 10.0))
 
     def test_lognormal_marks_mapped_count(self):
         # E[T^-2] = exp(-2 mu + 2 sigma^2) = e^0.5 for lognormal(0, 0.5^2)
@@ -106,14 +109,14 @@ class TestMapPattern:
     def test_mark_count_mismatch_rejected(self):
         p = sample_ppp(100.0, UNIT_WINDOW, np.random.default_rng(4))
         with pytest.raises(ValueError):
-            map_pattern(p, np.ones(len(p) + 1))
+            map_pattern(p, np.ones(len(p) + 1), UNIT_WINDOW, 1.0)
 
     def test_non_positive_marks_rejected(self):
         p = sample_ppp(100.0, UNIT_WINDOW, np.random.default_rng(5))
         marks = np.ones(len(p))
         marks[0] = 0.0
         with pytest.raises(ValueError):
-            map_pattern(p, marks)
+            map_pattern(p, marks, UNIT_WINDOW, 1.0)
 
 
 class TestNearestDistance:
@@ -214,9 +217,15 @@ class TestCsrTest:
         pattern = sample_ppp(300.0, UNIT_WINDOW, np.random.default_rng(20))
         report = csr_test(pattern, 3)
         assert report.dof == 8
-        assert report.counts.shape == (3, 3)
-        assert report.counts.sum() == len(pattern)
         assert 0.0 <= report.p_value <= 1.0
+        # six points in every quadrat, one on its lower-left corner, which lies
+        # on an interior quadrat edge in all quadrats but the one at the origin
+        edges = np.linspace(0.0, 1.0, 4)
+        corners = np.array(np.meshgrid(edges[:3], edges[:3])).reshape(2, -1).T
+        offsets = np.array([[0.0, 0.0], [0.1, 0.1], [0.2, 0.1], [0.1, 0.2], [0.2, 0.2], [0.3, 0.05]])
+        even = PointPattern(points=(corners[:, None, :] + offsets).reshape(-1, 2),
+                            window=UNIT_WINDOW, intensity_declared=54.0)
+        assert csr_test(even, 3).statistic == 0.0
 
 
 class TestRepRng:

@@ -2,13 +2,16 @@
 
 ``bench/spans.py`` names the functions its tracer wraps; deleting or
 renaming one of them must fail here rather than in a traced benchmark
-run.  Every name in ``voidnet.__all__`` must also resolve, the Monte-Carlo
-estimators must take ``(reps, window, seed)`` in that order, and importing
-the CLI must stay free of the process-pool machinery.
+run.  Every name in ``voidnet.__all__`` must also resolve and have a
+caller in the package or the benchmark, the Monte-Carlo estimators must
+take ``(reps, window, seed)`` in that order, and importing the CLI must
+stay free of the process-pool machinery.
 """
 
+import ast
 import importlib.util
 import inspect
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +24,13 @@ from voidnet.association import cell_count_pmf_mc, void_probability_mc, void_pro
 from voidnet.coverage import coverage_sweep, sir_samples
 from voidnet.spatialstats import remark2_test
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SPANS = BENCH / "spans.py"
+
+# Public names whose only callers are tests, each with the reason it stays.
+TEST_ONLY_NAMES = {
+    "rho_strongest_power": "acceptance criterion 9 checks the paper's strongest-power shape with it",
+}
 
 
 def _load_spans():
@@ -55,6 +64,31 @@ def test_tracer_installs_and_uninstalls():
 def test_all_names_resolve():
     missing = [name for name in voidnet.__all__ if not hasattr(voidnet, name)]
     assert missing == []
+
+
+def _referenced_names(path: Path) -> set[str]:
+    """Names a module uses: loaded names, attributes, and dotted strings
+    such as the ``"WeightLaw.sample_weights"`` targets of the bench tracer.
+    A definition's own name is not a use of it."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
+                names.update(node.value.split("."))
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    # The package's own re-exports in __init__ are not callers.
+    package = Path(voidnet.__file__).parent
+    sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    used = set().union(*map(_referenced_names, sources + sorted(BENCH.glob("*.py"))))
+    uncalled = [name for name in voidnet.__all__ if name not in used]
+    assert sorted(uncalled) == sorted(TEST_ONLY_NAMES)
 
 
 @pytest.mark.parametrize("estimator", [void_probability_mc, void_probability_sweep,
