@@ -82,9 +82,28 @@ def _claim_draws(draw, seed: int, next_rep, hi: int) -> list:
 
 
 def _worker_draws(hi: int) -> list:
-    from multiprocessing.pool import ExceptionWithTraceback  # keeps the worker's traceback
-    return [(r, None if e is None else ExceptionWithTraceback(e, e.__traceback__), result)
+    return [(r, None if e is None else _portable(e), result)
             for r, e, result in _claim_draws(*_worker_job, hi)]
+
+
+def _portable(error: Exception):
+    """``error`` with the worker's traceback, fit to be unpickled by the parent.
+
+    An error that does not survive a pickle round trip (say, one whose
+    constructor takes two arguments and that has no ``__reduce__``) would
+    kill the pool's result handler and leave the parent waiting forever,
+    so a :class:`RuntimeError` naming it travels in its place.
+    """
+    import pickle
+    from multiprocessing.pool import ExceptionWithTraceback  # keeps the worker's traceback
+
+    sent = error
+    try:
+        pickle.loads(pickle.dumps(error))
+    except Exception:
+        sent = RuntimeError(f"{type(error).__qualname__}: {error} "
+                            "(raised in a worker; it does not survive pickling)")
+    return ExceptionWithTraceback(sent, error.__traceback__)
 
 
 class _Batches:
@@ -163,8 +182,10 @@ def run_reps(draw, seed: int, reps: int, done=None) -> list:
     one index at a time.  Workers return their summaries, which must
     pickle, and ``done`` sees them in index order, so the result and the
     stopping point do not depend on who drew what.  A draw's exception
-    reaches the caller as the serial run would raise it; side effects of
-    a draw inside a worker are lost.  Runs stay serial on one CPU, without
+    reaches the caller as the serial run would raise it, except that one
+    raised in a worker that does not survive pickling arrives as a
+    :class:`RuntimeError` naming it; side effects of a draw inside a
+    worker are lost.  Runs stay serial on one CPU, without
     ``fork``, inside a worker and while other threads run (so a nested
     call never forks).
     Raises :class:`ValueError` for ``reps < 1`` before any draw.

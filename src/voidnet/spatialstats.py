@@ -1,7 +1,8 @@
 """Second-order spatial statistics on the torus.
 
-Ripley's K with wrap-around edge correction, Monte-Carlo envelopes under
-complete spatial randomness, and a test of whether the pattern of
+Ripley's K with wrap-around edge correction, counted exactly from the
+list of point pairs within the largest radius; Monte-Carlo envelopes
+under complete spatial randomness; and a test of whether the pattern of
 non-void (associated) base stations still looks like a homogeneous PPP.
 """
 
@@ -55,15 +56,33 @@ def ripley_k(pattern: PointPattern, radii) -> KFunctionEstimate:
     For a homogeneous PPP, E[K_hat(r)] = pi r^2.  Wrap bias grows for
     radii above side/4; at the maximum toroidal distance K_hat saturates
     at exactly the window area.
+
+    The count is exact.  A periodic k-d tree lists the unordered pairs
+    within the largest radius, queried a few ulps wide so that rounding
+    inside the tree cannot drop a pair at exactly that radius.  Each
+    pair's squared torus distance is then recomputed from the
+    coordinates (per axis min(|d|, side - |d|), squared and summed, the
+    tree's own metric), and d^2 <= r^2 decides every count, twice over
+    for the two orders of a pair.  The pair list takes about 24-40 bytes
+    per pair within the largest radius, and a PPP has about
+    (pi/32) N^2 ~ 0.1 N^2 of them at side/4: about 1 MB at 500 points.
     """
     n = len(pattern)
     if n < MIN_POINTS:
         raise ValueError(f"pattern has {n} points; need at least {MIN_POINTS}")
     r = np.atleast_1d(np.asarray(radii, dtype=float))
 
-    # count_neighbors counts ordered pairs, each point with itself included
-    tree = cKDTree(pattern.points, boxsize=pattern.window.side)
-    counts = tree.count_neighbors(tree, r) - n
+    side = pattern.window.side
+    r_max = r.max(initial=0.0)  # an empty radius list counts no pairs
+    tree = cKDTree(pattern.points, boxsize=side)
+    pairs = tree.query_pairs(r_max + 4 * np.spacing(r_max), output_type="ndarray")
+    i, j = pairs.T
+    gap = pattern.points.take(i, axis=0)  # take, not fancy indexing: several times faster
+    gap -= pattern.points.take(j, axis=0)
+    np.abs(gap, out=gap)
+    np.minimum(gap, side - gap, out=gap)
+    gap *= gap
+    counts = 2 * np.searchsorted(np.sort(gap[:, 0] + gap[:, 1]), r * r, side="right")
     area = pattern.window.sampling_area()
     k_hat = area * counts / (n * (n - 1.0))
     return KFunctionEstimate(radii=r, k_hat=k_hat)

@@ -272,10 +272,54 @@ class TestRunExperiments:
             "2.0,185.0,thinned-ppp,0.8,0.8,0.49016247153664183,0.9433178485456247,10,"
             "0.004576731706334743",
         ]),
-    ], ids=["void-prob", "coverage", "coverage-two-ratio"])
+        ("remark2", dict(reps=3, n_envelope=39), [
+            "r,k_hat,lo,hi,pi_r_sq,exit_rate",
+            "0.03288,0.002254592652905015,0.0028178184973300558,"
+            "0.004054145536289875,0.0033963582248770652,1.0",
+            "0.052781052631578944,0.006773618731936677,0.00770287418115795,"
+            "0.009993633578513706,0.008751972960365345,1.0",
+            "0.07268210526315788,0.013291713343738682,0.01523210758506777,"
+            "0.018342690777822544,0.01659605514870676,1.0",
+            "0.09258315789473684,0.023030693378295414,0.02537335132999142,"
+            "0.029027355372193718,0.026928604789901327,1.0",
+            "0.11248421052631577,0.03610562040072419,0.03764171243274852,"
+            "0.04189926951319649,0.03974962188394902,1.0",
+            "0.13238526315789473,0.05130666363021744,0.0524216847164167,"
+            "0.05739951494984826,0.055059106430849866,1.0",
+            "0.15228631578947366,0.06874441066642163,0.07046664778037182,"
+            "0.07591377633817217,0.07285705843060383,1.0",
+            "0.17218736842105262,0.08875351545727544,0.09023330690761479,"
+            "0.09663391750921349,0.09314347788321098,0.6666666666666666",
+            "0.19208842105263155,0.11187223360700237,0.11230807600974732,"
+            "0.11999467083089001,0.11591836478867121,0.6666666666666666",
+            "0.21198947368421048,0.1369246738305653,0.13702202646699463,"
+            "0.14527815307933817,0.1411817191469846,0.6666666666666666",
+            "0.23189052631578944,0.1649437436229004,0.1645931496922839,"
+            "0.17332387315740966,0.16893354095815113,0.3333333333333333",
+            "0.2517915789473684,0.19534804417763307,0.19526749297151497,"
+            "0.2043826645972374,0.19917383022217086,0.6666666666666666",
+            "0.27169263157894735,0.2273743146483791,0.22739213737471412,"
+            "0.2374395872345364,0.2319025869390437,0.6666666666666666",
+            "0.2915936842105263,0.2629963931482772,0.2627284509432804,"
+            "0.27326509928343745,0.2671198111087696,0.6666666666666666",
+            "0.31149473684210527,0.30113467682807454,0.2995749261731002,"
+            "0.3124067695771528,0.3048255027313488,0.0",
+            "0.3313957894736842,0.34093746037783784,0.33943477227240204,"
+            "0.3505470657666388,0.345019661806781,0.0",
+            "0.35129684210526313,0.3839126810845556,0.38295372539775174,"
+            "0.3944528466122801,0.38770228833506637,0.3333333333333333",
+            "0.37119789473684206,0.43116481197277806,0.4267920026512166,"
+            "0.44083811346826346,0.43287338231620487,0.0",
+            "0.391098947368421,0.4785995783769932,0.4756187662969963,"
+            "0.487373651835184,0.4805329437501965,0.0",
+            "0.411,0.5291792528905174,0.52443966593627,"
+            "0.5394645095637467,0.5306809726370414,0.0",
+        ]),
+    ], ids=["void-prob", "coverage", "coverage-two-ratio", "remark2"])
     def test_single_ratio_rows_pinned(self, experiment, extra, expected, tmp_path):
         # A one-ratio grid is drawn as it was before grids shared a draw; the
-        # two-ratio case pins the coupled coverage path.
+        # two-ratio case pins the coupled coverage path and the remark2 case
+        # pins Ripley's K and its envelope.
         out = tmp_path / "a.csv"
         run(ExperimentConfig(experiment=experiment, out=str(out), **{"ratio_grid": (2.0,), **extra}))
         assert [l for l in out.read_text().splitlines() if not l.startswith("#")] == expected

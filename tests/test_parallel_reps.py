@@ -6,9 +6,11 @@ pool start-up cost to zero, so on two CPUs every batch of three or more
 replications forks, however cheap its draws are.
 """
 
+import contextlib
 import dataclasses
 import multiprocessing
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -38,6 +40,32 @@ class QuadratureError(RuntimeError):
 
     def __reduce__(self):
         return type(self), (self.message, self.achieved_tol)
+
+
+class CodedError(Exception):
+    """An error whose constructor takes two arguments and that has no ``__reduce__``.
+
+    Pickling keeps only ``args``, the formatted message, so unpickling
+    calls the constructor with one argument and fails.
+    """
+
+    def __init__(self, message: str, code: int):
+        super().__init__(f"{message} (code {code})")
+
+
+@contextlib.contextmanager
+def watchdog(seconds: int):
+    """Raise :class:`TimeoutError` in the block if it runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still waiting after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture
@@ -159,6 +187,28 @@ class TestRunReps:
         assert raised[0] == raised[1]
         if bad == (2,):  # raised on the worker, whose traceback comes along
             assert "Traceback" in str(info.value.__cause__)
+
+    def test_unpicklable_worker_error_is_raised(self, cpus):
+        # The worker's error cannot be rebuilt in this process, so it comes
+        # back as a RuntimeError that names it; the serial run raises it as is.
+        rejected = rep_rng(63, 2).random()
+
+        @with_workers
+        def draw(rng):
+            x = rng.random()
+            if x == rejected:
+                raise CodedError(f"draw {x!r} rejected", 7)
+            return x
+
+        cpus(1)
+        with pytest.raises(CodedError) as serial:
+            run_reps(draw, 63, 8)
+        cpus(2)
+        with watchdog(30), pytest.raises(RuntimeError) as parallel:
+            run_reps(draw, 63, 8)
+        assert cpus.forked[-1] and type(parallel.value) is RuntimeError
+        assert f"CodedError: {serial.value}" in str(parallel.value)
+        assert "Traceback" in str(parallel.value.__cause__)
 
     def test_nested_call_stays_serial(self, cpus):
         cpus(2)

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from voidnet.channel import ChannelParams, WeightLaw
 from voidnet.geometry import SimulationWindow, pairwise_distances
 from voidnet.pointprocess import PointPattern, rep_rng, sample_ppp
 from voidnet.spatialstats import (
+    MIN_POINTS,
     KFunctionEstimate,
     default_radii,
     ppp_envelope,
@@ -21,6 +25,55 @@ RAYLEIGH = ChannelParams(m=1.0, mu=0.0, sigma2=0.0, alpha=4.0)
 def pattern(points, intensity=1.0, window=UNIT):
     return PointPattern(points=np.asarray(points, dtype=float), window=window,
                         intensity_declared=intensity)
+
+
+def reference_k(p: PointPattern, radii) -> np.ndarray:
+    """K_hat from the periodic tree's self-join count, the kernel ripley_k replaced.
+
+    ``count_neighbors`` counts ordered pairs, each point with itself included.
+    """
+    n, r = len(p), np.asarray(radii, dtype=float)
+    tree = cKDTree(p.points, boxsize=p.window.side)
+    return p.window.sampling_area() * (tree.count_neighbors(tree, r) - n) / (n * (n - 1.0))
+
+
+def pair_d2(p: PointPattern) -> np.ndarray:
+    """Squared torus distance of every unordered pair."""
+    i, j = np.triu_indices(len(p), k=1)
+    gap = np.abs(p.points[i] - p.points[j])
+    gap = np.minimum(gap, p.window.side - gap)
+    return (gap * gap).sum(axis=1)
+
+
+def all_pairs_k(p: PointPattern, radii) -> np.ndarray:
+    """K_hat by definition: every pair's squared torus distance against r^2."""
+    n, r = len(p), np.asarray(radii, dtype=float)
+    counts = 2 * (pair_d2(p)[None, :] <= (r * r)[:, None]).sum(axis=1)
+    return p.window.sampling_area() * counts / (n * (n - 1.0))
+
+
+@st.composite
+def tied_patterns(draw):
+    """A pattern with points on coordinate 0.0 and coincident points, and radii
+    from tiny up to the largest torus distance, side * sqrt(2) / 2.
+
+    Half the patterns snap to a lattice of spacing side/m, with the radii
+    k * side/m added, so that many pair distances equal a radius.
+    """
+    side = draw(st.floats(0.05, 20.0))
+    n = draw(st.integers(MIN_POINTS, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.uniform(0.0, side, (n, 2)) % side
+    points[:draw(st.integers(0, n // 4)), draw(st.integers(0, 1))] = 0.0
+    copies = draw(st.integers(0, n // 4))
+    points[n - copies:] = points[:copies]
+    fractions = draw(st.lists(st.floats(1e-9, math.sqrt(2.0) / 2.0), min_size=1, max_size=8))
+    radii = side * np.array(fractions + [math.sqrt(2.0) / 2.0])
+    m = draw(st.sampled_from([0, 4, 8, 10, 16]))
+    if m:
+        points = np.round(points * m / side) * side / m % side
+        radii = np.concatenate([radii, side * np.arange(1, m) / m])
+    return pattern(points, window=SimulationWindow(side=side)), np.unique(radii)
 
 
 class TestRipleyK:
@@ -83,6 +136,34 @@ class TestRipleyK:
             counts = 2.0 * np.searchsorted(pairs, radii, side="right")
             expected = UNIT.sampling_area() * counts / (n * (n - 1.0))
             assert np.array_equal(ripley_k(p, radii).k_hat, expected)
+
+    @given(tied_patterns())
+    def test_pair_list_is_exact(self, case):
+        # The count is exact at every radius, ties included.  The tree's
+        # count_neighbors rounds its node-to-node distance bounds and can
+        # miscount a pair lying exactly at r on a lattice, so it is held to
+        # equality only where no squared pair distance is within 1e-9 of r^2.
+        p, radii = case
+        k = ripley_k(p, radii).k_hat
+        assert np.array_equal(k, all_pairs_k(p, radii))
+        d2 = pair_d2(p)
+        clear = np.array([not np.any(np.isclose(d2, rr * rr, rtol=1e-9, atol=0.0)) for rr in radii])
+        assert np.array_equal(k[clear], reference_k(p, radii)[clear])
+
+    def test_dyadic_lattice_ties_are_counted(self):
+        # Side 1 with spacing 1/8: every coordinate difference, its square
+        # and the radii are exact binary fractions.  A point has 4 neighbours
+        # at 1/8 (one step along an axis), 4 at sqrt(2)/8 and 4 at 1/4 (two
+        # steps along an axis); points on the edges reach some of them only
+        # across the wrap.  Just below a radius the pairs at it drop out.
+        g = np.arange(8) / 8.0
+        xx, yy = np.meshgrid(g, g)
+        p = pattern(np.column_stack([xx.ravel(), yy.ravel()]))
+        radii = [np.nextafter(0.125, 0.0), 0.125, np.nextafter(0.25, 0.0), 0.25]
+        per_point = np.array([0, 4, 8, 12])
+        k = ripley_k(p, radii).k_hat
+        assert np.array_equal(k, 64 * per_point / (64 * 63.0))
+        assert np.array_equal(k, reference_k(p, radii))
 
     def test_guard_cross_check(self):
         # naive euclidean estimator on guard-interior points agrees with
