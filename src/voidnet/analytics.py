@@ -204,10 +204,7 @@ def rho_strongest_power(m: float, sigma2: float, alpha: float) -> float:
     when m <= 2/alpha.
     """
     cp = ChannelParams(m=m, mu=0.0, sigma2=sigma2, alpha=alpha)
-    z = zeta_dagger(cp, WeightLaw.unit())
-    if math.isinf(z):
-        return math.inf
-    return VORONOI_SHAPE * z
+    return VORONOI_SHAPE * zeta_dagger(cp, WeightLaw.unit())
 
 
 def mapped_intensity(intensity: float, mean_inverse_scale: float) -> float:

@@ -75,7 +75,7 @@ class AssociationOutcome:
     ``assignments[u]`` is the serving base-station index of user u, and
     ``serving_weight[u]`` / ``serving_gain[u]`` are the W and H of that
     serving link; ``cell_counts`` partitions the users over stations, so
-    its sum equals the user count and ``void_count`` is the number of
+    its sum equals the user count, and ``void_count`` is its number of
     zero entries.  ``near_tie[u]`` flags a runner-up criterion within
     ``NEAR_TIE_RTOL`` of user u's best.
     """
@@ -85,14 +85,16 @@ class AssociationOutcome:
     serving_weight: np.ndarray
     serving_gain: np.ndarray
     cell_counts: np.ndarray
-    void_count: int
     near_tie: np.ndarray
 
     def __post_init__(self) -> None:
         if int(self.cell_counts.sum()) != len(self.assignments):
             raise ValueError("cell counts do not partition the user set")
-        if int(np.sum(self.cell_counts == 0)) != self.void_count:
-            raise ValueError("void count inconsistent with cell counts")
+
+    @property
+    def void_count(self) -> int:
+        """Stations that serve no user."""
+        return int(np.sum(self.cell_counts == 0))
 
     @property
     def near_tie_fraction(self) -> float:
@@ -123,31 +125,19 @@ def associate(
     shadowing given Y is normal).
     """
     n_b = len(bs)
-    n_u = len(users)
     if n_b == 0:
         raise ValueError("association requires at least one base station")
 
     if law.kind == NEAREST:
         # Gains cancel out of the nearest criterion, so assignment is a
-        # plain (periodic) nearest-neighbour query.
-        if n_u:
-            tree = cKDTree(bs.points, boxsize=bs.window.side)
-            k = min(2, n_b)
-            dd, ii = tree.query(users.points, k=k)
-            dd = dd.reshape(n_u, k)
-            ii = ii.reshape(n_u, k)
-            assignments = ii[:, 0]
-            serving_distance = dd[:, 0]
-        else:
-            assignments = np.zeros(0, dtype=int)
-            serving_distance = np.zeros(0)
-        serving_gain = np.asarray(sample_gain(cp, rng, size=n_u), dtype=float).reshape(n_u)
+        # plain (periodic) nearest-neighbour query.  Without a second
+        # station its distance reads inf, so no user is a near tie.
+        dd, ii = cKDTree(bs.points, boxsize=bs.window.side).query(users.points, k=2)
+        assignments, serving_distance = ii[:, 0], dd[:, 0]
+        serving_gain = sample_gain(cp, rng, size=len(users))
         with np.errstate(divide="ignore"):
             serving_weight = 1.0 / serving_gain
-        if n_u and n_b >= 2:
-            near_tie = (serving_distance / dd[:, 1]) ** cp.alpha > 1.0 - NEAR_TIE_RTOL
-        else:
-            near_tie = np.zeros(n_u, dtype=bool)
+        near_tie = (serving_distance / dd[:, 1]) ** cp.alpha > 1.0 - NEAR_TIE_RTOL
     else:
         (assignments, serving_distance, serving_weight, serving_gain,
          near_tie) = _thinned_association(bs, users, cp, law, rng)
@@ -159,7 +149,6 @@ def associate(
         serving_weight=serving_weight,
         serving_gain=serving_gain,
         cell_counts=cell_counts,
-        void_count=int(np.sum(cell_counts == 0)),
         near_tie=near_tie,
     )
 
@@ -356,10 +345,9 @@ class _CellGrid:
         around cell ``centre_xy[i]``, which holds ``n[i]`` stations.
 
         Returns (i, station) per pick, grouped by i.  The ring's stations are
-        numbered 0 .. n[i] - 1 cell by cell.  A ring drawn more than half
-        keeps the numbers with the ``drawn[i]`` smallest of uniform keys;
-        any other draws numbers uniformly and draws a repeated one again,
-        which is invariant under renumbering, so uniform over subsets.
+        numbered 0 .. n[i] - 1 cell by cell; each pick draws a number
+        uniformly and a repeated one is drawn again, which is invariant
+        under renumbering, so uniform over subsets for any drawn[i] <= n[i].
         """
         start = self.ring_first[ring]
         size = self.ring_first[ring + 1] - start
@@ -367,16 +355,7 @@ class _CellGrid:
         held = self.counts[cells]
         ends = np.cumsum(held)
         base = np.cumsum(n) - n
-
-        whole = np.flatnonzero(2 * drawn > n)
-        owner = np.repeat(whole, n[whole])
-        number = _ranges(np.zeros_like(whole), n[whole])
-        order = np.lexsort((rng.random(len(owner)), owner))
-        rank = np.arange(len(order)) - np.repeat(np.cumsum(n[whole]) - n[whole], n[whole])
-        kept = order[rank < np.repeat(drawn[whole], n[whole])]
-
-        part = np.flatnonzero(2 * drawn <= n)
-        picker = np.repeat(part, drawn[part])
+        picker = np.repeat(np.arange(len(n)), drawn)
         at = np.full(len(picker), -1)
         pending = np.arange(len(picker))
         while len(pending):
@@ -386,13 +365,8 @@ class _CellGrid:
             repeat = by_at[1:][at[by_at[1:]] == at[by_at[:-1]]]
             at[repeat] = -1
             pending = np.sort(repeat)
-
-        pair = np.concatenate((owner[kept], picker))
-        at = np.concatenate((base[owner[kept]] + number[kept], at))
-        grouped = np.argsort(pair, kind="stable")
-        pair, at = pair[grouped], at[grouped]
         cell = np.searchsorted(ends, at, side="right")
-        return pair, self.by_cell[self.first[cells[cell]] + at - (ends[cell] - held[cell])]
+        return picker, self.by_cell[self.first[cells[cell]] + at - (ends[cell] - held[cell])]
 
 
 def _thinned_association(bs, users, cp, law, rng):
@@ -410,7 +384,7 @@ def _thinned_association(bs, users, cp, law, rng):
 
     def deltas(x, y, station):
         """Torus displacements from each station to (x, y), bit for bit as
-        ``distances_to_point((x, y), station point)`` forms them."""
+        ``wrapped_deltas`` forms them for (x, y) about the station."""
         return _shortest_way(x - bs_x[station], side), _shortest_way(y - bs_y[station], side)
 
     # Near block: every link drawn, as one flat (user, station) list.
@@ -525,10 +499,10 @@ def _void_estimates(hists: list[np.ndarray], retain) -> list[EstimateWithCI]:
     keep probability p leaves it void with probability exactly (1 - p)^K,
     so a replication's expected void count at p is sum_k h[k] (1 - p)^k
     (conditional Monte Carlo).  At p = 1 that is h[0], the plain count.
-    Below p = 1 the per-replication sums of squares sum_k h[k] (1 - p)^2k
-    go with it, so the interval's per-cell variance floor is that of the
-    weights pooled, not of 0/1 indicators (see
-    :func:`voidnet.analytics.pooled_fraction`).
+    The per-replication sums of squares sum_k h[k] (1 - p)^2k go with it,
+    so the interval's per-cell variance floor is that of the weights
+    pooled (see :func:`voidnet.analytics.pooled_fraction`); at p = 1 the
+    weights are 0/1, whose floor is the cell count.
     """
     width = max(len(h) for h in hists)
     counts = np.array([np.pad(h, (0, width - len(h))) for h in hists])
@@ -537,8 +511,8 @@ def _void_estimates(hists: list[np.ndarray], retain) -> list[EstimateWithCI]:
     squares = counts @ void_weights**2
     cells = counts.sum(axis=1)
     estimates = []
-    for p, column, column_squares in zip(retain, voids.T, squares.T):
-        p_hat, lo, hi = pooled_fraction(column, cells, column_squares if p < 1.0 else None)
+    for column, column_squares in zip(voids.T, squares.T):
+        p_hat, lo, hi = pooled_fraction(column, cells, column_squares)
         estimates.append(EstimateWithCI(value=p_hat, ci_low=lo, ci_high=hi, reps=len(hists)))
     return estimates
 

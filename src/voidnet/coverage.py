@@ -127,7 +127,7 @@ def sample_realization(
     serving = int(outcome.assignments[0])
     others = np.flatnonzero(np.arange(len(bs)) != serving)
     other_dist = distances_to_point(bs.points[others], center, window)
-    other_gains = np.asarray(sample_gain(cp, rng, size=len(others)), dtype=float).reshape(len(others))
+    other_gains = sample_gain(cp, rng, size=len(others))
     thinning = rng.random(len(others))
     retention = np.concatenate(([0.0], rng.random(len(users))))
 

@@ -78,10 +78,7 @@ def wrapped_deltas(points, origin, window: SimulationWindow) -> np.ndarray:
 
 def distances_to_point(points, origin, window: SimulationWindow) -> np.ndarray:
     """Distances from every row of ``points`` to ``origin``."""
-    pts = _as_xy(points)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    delta = wrapped_deltas(pts, origin, window)
+    delta = wrapped_deltas(points, origin, window)
     return np.hypot(delta[:, 0], delta[:, 1])
 
 

@@ -58,16 +58,6 @@ from .pointprocess import (
 )
 from .spatialstats import remark2_test
 
-EXPERIMENTS = (
-    "void-prob",
-    "cell-pmf",
-    "bounds-check",
-    "conservation-check",
-    "remark2",
-    "coverage",
-    "formulas",
-)
-
 MIN_EXPECTED_POINTS = 500.0
 
 # Assumed variance inflation of a pooled void fraction over the binomial
@@ -256,7 +246,7 @@ def parse_weight_law(spec: str) -> WeightLaw:
 
 
 def parse_mark_law(spec: str, cp: ChannelParams, law: WeightLaw):
-    """(sampler(rng, n), analytic E[1/T^2], label) for a mark-law spec.
+    """(sampler(rng, n), analytic E[1/T^2]) for a mark-law spec.
 
     ``deterministic:T`` scales every point by T; ``lognormal:MU,SIGMA2``
     draws ln T ~ Normal(MU, SIGMA2); ``channel`` uses T = (W H)^(-1/alpha)
@@ -269,7 +259,7 @@ def parse_mark_law(spec: str, cp: ChannelParams, law: WeightLaw):
             raise ConfigError([f"bad deterministic mark spec {spec!r}; expected deterministic:T"])
         if not (math.isfinite(t) and t > 0):
             raise ConfigError([f"deterministic mark must be finite and > 0, got {t}"])
-        return (lambda rng, n: np.full(n, t)), 1.0 / (t * t), spec
+        return (lambda rng, n: np.full(n, t)), 1.0 / (t * t)
     if spec.startswith("lognormal:"):
         try:
             mu_s, s2_s = spec.split(":", 1)[1].split(",")
@@ -279,16 +269,16 @@ def parse_mark_law(spec: str, cp: ChannelParams, law: WeightLaw):
         if not (math.isfinite(mu_t) and math.isfinite(s2_t) and s2_t >= 0):
             raise ConfigError(["lognormal mark needs a finite mean and a finite variance >= 0"])
         sampler = lambda rng, n: np.exp(rng.normal(mu_t, math.sqrt(s2_t), size=n))
-        return sampler, math.exp(-2.0 * mu_t + 2.0 * s2_t), spec
+        return sampler, math.exp(-2.0 * mu_t + 2.0 * s2_t)
     if spec == "channel":
         moment = fractional_moment(cp, law, 2.0 / cp.alpha)
         if law.kind == "nearest":
-            return (lambda rng, n: np.ones(n)), moment, spec
+            return (lambda rng, n: np.ones(n)), moment
 
         def sampler(rng, n, cp=cp, law=law):
             return (law.sample_weights(n, rng) * sample_gain(cp, rng, size=n)) ** (-1.0 / cp.alpha)
 
-        return sampler, moment, spec
+        return sampler, moment
     raise ConfigError([f"unknown mark law {spec!r}"])
 
 
@@ -418,7 +408,7 @@ def _void_prob_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
     cp = config.channel_params()
     law = config.weight_law()
     zd = zeta_dagger(cp, law)
-    rho = VORONOI_SHAPE * zd if math.isfinite(zd) else math.inf
+    rho = VORONOI_SHAPE * zd
     ratios = config.ratios()
     r_top, window = _grid_window(config, ratios)
     if config.reps:
@@ -537,7 +527,7 @@ def _bounds_check_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
 def _conservation_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
     cp = config.channel_params()
     law = config.weight_law()
-    sampler, mean_inv_sq, label = parse_mark_law(config.mark_law, cp, law)
+    sampler, mean_inv_sq = parse_mark_law(config.mark_law, cp, law)
     lambda_b = config.lambda_b if config.lambda_b else 100.0
     suites = config.reps or 200
 
@@ -571,7 +561,7 @@ def _conservation_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
     rejected = sum(row["p_value"] < 0.05 for row in rows)
     expected_count = mapped_intensity_value * target.sampling_area()
     meta = {
-        "mark_law": label,
+        "mark_law": config.mark_law,
         "lambda_b": lambda_b,
         "mean_inverse_square": mean_inv_sq,
         "mapped_intensity": mapped_intensity_value,
@@ -642,7 +632,7 @@ def _formulas_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
     cp = config.channel_params()
     law = config.weight_law()
     zd = zeta_dagger(cp, law)
-    rho = VORONOI_SHAPE * zd if math.isfinite(zd) else math.inf
+    rho = VORONOI_SHAPE * zd
     rows = []
     for ratio in config.ratios():
         lambda_b = config.lambda_u / ratio
@@ -672,6 +662,8 @@ _BODIES = {
     "coverage": _coverage_rows,
     "formulas": _formulas_rows,
 }
+
+EXPERIMENTS = tuple(_BODIES)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ replications of a batch across the usable CPUs.
 from __future__ import annotations
 
 import os
+import pickle
 import threading
 import time
 from dataclasses import dataclass
@@ -81,9 +82,22 @@ def _claim_draws(draw, seed: int, next_rep, hi: int) -> list:
     return claimed
 
 
-def _worker_draws(hi: int) -> list:
-    return [(r, None if e is None else _portable(e), result)
-            for r, e, result in _claim_draws(*_worker_job, hi)]
+def _worker_draws(hi: int) -> bytes:
+    """This worker's claims, pickled here so the caller unpickles them itself."""
+    return pickle.dumps([(r, None if e is None else _portable(e), result)
+                         for r, e, result in _claim_draws(*_worker_job, hi)])
+
+
+def _unpickled_share(share: bytes) -> list:
+    """A worker's claims, unpickled in the caller's thread.
+
+    Left to the pool, a result that fails to unpickle would kill its
+    result handler and leave the caller waiting forever.
+    """
+    try:
+        return pickle.loads(share)
+    except Exception as error:
+        raise RuntimeError("a worker's draw results do not survive pickling") from error
 
 
 def _portable(error: Exception):
@@ -91,10 +105,9 @@ def _portable(error: Exception):
 
     An error that does not survive a pickle round trip (say, one whose
     constructor takes two arguments and that has no ``__reduce__``) would
-    kill the pool's result handler and leave the parent waiting forever,
-    so a :class:`RuntimeError` naming it travels in its place.
+    keep the parent from unpickling the worker's whole share, so a
+    :class:`RuntimeError` naming it travels in its place.
     """
-    import pickle
     from multiprocessing.pool import ExceptionWithTraceback  # keeps the worker's traceback
 
     sent = error
@@ -128,7 +141,7 @@ class _Batches:
         self.next_rep.value = lo  # this process and the workers claim the rest
         pending = [self.pool.apply_async(_worker_draws, (hi,)) for _ in range(self.workers)]
         claimed = _claim_draws(self.draw, self.seed, self.next_rep, hi)
-        claimed += [c for share in pending for c in share.get()]
+        claimed += [c for share in pending for c in _unpickled_share(share.get())]
         for _, error, result in sorted(claimed, key=lambda c: c[0]):
             if error is not None:
                 raise error
@@ -180,14 +193,14 @@ def run_reps(draw, seed: int, reps: int, done=None) -> list:
     time than starting a pool costs, this process and one worker forked
     per further CPU (one pool serves all batches of the call) claim them
     one index at a time.  Workers return their summaries, which must
-    pickle, and ``done`` sees them in index order, so the result and the
-    stopping point do not depend on who drew what.  A draw's exception
-    reaches the caller as the serial run would raise it, except that one
-    raised in a worker that does not survive pickling arrives as a
-    :class:`RuntimeError` naming it; side effects of a draw inside a
-    worker are lost.  Runs stay serial on one CPU, without
-    ``fork``, inside a worker and while other threads run (so a nested
-    call never forks).
+    survive pickling (else :class:`RuntimeError`), and ``done`` sees them
+    in index order, so the result and the stopping point do not depend on
+    who drew what.  A draw's exception reaches the caller as the serial
+    run would raise it, except that one raised in a worker that does not
+    survive pickling arrives as a :class:`RuntimeError` naming it; side
+    effects of a draw inside a worker are lost.  Runs stay serial on one
+    CPU, without ``fork``, inside a worker and while other threads run (so
+    a nested call never forks).
     Raises :class:`ValueError` for ``reps < 1`` before any draw.
     """
     if reps < 1:
@@ -279,18 +292,11 @@ def map_pattern(
     t = np.atleast_1d(np.asarray(marks, dtype=float))
     if len(t) != len(pattern):
         raise ValueError(f"need one mark per point: {len(t)} marks for {len(pattern)} points")
-    if len(t) and (not np.all(np.isfinite(t)) or np.any(t <= 0)):
+    if not np.all(np.isfinite(t)) or np.any(t <= 0):
         raise ValueError("marks must be positive and finite")
 
-    src_c = pattern.window.side / 2.0
-    tgt_c = target.side / 2.0
-    if len(pattern):
-        mapped = tgt_c + t[:, None] * (pattern.points - src_c)
-        inside = np.all((mapped >= 0.0) & (mapped < target.side), axis=1)
-        kept = mapped[inside]
-    else:
-        kept = pattern.points
-
+    mapped = target.side / 2.0 + t[:, None] * (pattern.points - pattern.window.side / 2.0)
+    kept = mapped[np.all((mapped >= 0.0) & (mapped < target.side), axis=1)]
     out_intensity = pattern.intensity_declared * mean_inverse_square
     return PointPattern(points=kept, window=target, intensity_declared=out_intensity)
 

@@ -411,8 +411,9 @@ class TestThinnedGrid:
             assert len(hit) == n
             assert stats.chisquare(hit).pvalue > 1e-3
 
-    @pytest.mark.parametrize("law", [WeightLaw.unit(), WeightLaw.lognormal(0.0, 4.0)],
-                             ids=["unit", "lognormal"])
+    @pytest.mark.parametrize("law", [WeightLaw.nearest(), WeightLaw.unit(),
+                                     WeightLaw.lognormal(0.0, 4.0)],
+                             ids=["nearest", "unit", "lognormal"])
     def test_one_station_and_no_users(self, law):
         users = pattern(np.random.default_rng(2).uniform(0.0, 10.0, (40, 2)))
         out = associate(pattern([[3.0, 4.0]]), users, SHADOWED, law, np.random.default_rng(1))

@@ -163,12 +163,12 @@ class TestParsers:
         cfg = ExperimentConfig(experiment="conservation-check")
         cp = cfg.channel_params()
         law = cfg.weight_law()
-        sampler, mean_inv_sq, _ = parse_mark_law("deterministic:2", cp, law)
+        sampler, mean_inv_sq = parse_mark_law("deterministic:2", cp, law)
         assert mean_inv_sq == 0.25
         assert np.all(sampler(np.random.default_rng(0), 5) == 2.0)
-        _, m2, _ = parse_mark_law("lognormal:0.0,0.25", cp, law)
+        _, m2 = parse_mark_law("lognormal:0.0,0.25", cp, law)
         assert m2 == pytest.approx(math.exp(0.5))
-        sampler3, m3, _ = parse_mark_law("channel", cp, law)
+        sampler3, m3 = parse_mark_law("channel", cp, law)
         assert m3 == 1.0  # nearest law: WH = 1
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
@@ -315,11 +315,87 @@ class TestRunExperiments:
             "0.411,0.5291792528905174,0.52443966593627,"
             "0.5394645095637467,0.5306809726370414,0.0",
         ]),
-    ], ids=["void-prob", "coverage", "coverage-two-ratio", "remark2"])
+        ("void-prob", dict(reps=3, law="unit", sigma_db=8.0), [
+            "ratio,lambda_b,lambda_u,side,reps,p_void_sim,ci_low,ci_high,"
+            "p_void_nearest_formula,p_void_rca_formula,bound_low,bound_high",
+            "2.0,185.0,370.0,1.644,3,0.1675603217158177,0.14892219260203088,"
+            "0.18801576540939546,0.20557426301997803,0.15586870717347598,0.1353352832366127,"
+            "0.20263509178460828",
+        ]),
+        ("void-prob", dict(reps=3, law="lognormal:0,4", sigma_db=8.0), [
+            "ratio,lambda_b,lambda_u,side,reps,p_void_sim,ci_low,ci_high,"
+            "p_void_nearest_formula,p_void_rca_formula,bound_low,bound_high",
+            "2.0,185.0,370.0,1.644,3,0.15884718498659517,0.14117868606580006,"
+            "0.1782679076911475,0.20557426301997803,0.14301561802176807,0.1353352832366127,"
+            "0.16157390105338543",
+        ]),
+        ("cell-pmf", dict(reps=3), [
+            "n_users,p_sim,ci_low,ci_high,p_formula",
+            "0,0.23659517426273458,0.21572397724686543,0.25881926704877384,0.20557426301997803",
+            "1,0.23257372654155495,0.19316942769339998,0.27725391022600726,0.26163997111633613",
+            "2,0.19168900804289543,0.1725173566424482,0.21244420156618807,0.2140690672770024",
+            "3,0.153485254691689,0.136086949819732,0.17266332321040925,0.14271271151800222",
+            "4,0.0938337801608579,0.07709124895124027,0.11376420995681981,0.08433023862427308",
+            "5,0.05294906166219839,0.04269115659892839,0.06550310280359428,0.04599831197687644",
+            "6,0.01742627345844504,0.011919586181133864,0.02541154840629691,"
+            "0.02369610010930023",
+            "7,0.013404825737265416,0.00869416822901328,0.020614725813312754,"
+            "0.011694179274719507",
+            "8,0.004691689008042895,0.0017205119223334129,0.012728413404283732,"
+            "0.005581312835661548",
+            "9,0.0020107238605898124,0.0006730518056051278,0.0059910441010609826,"
+            "0.0025933372771760853",
+            "10,0.0006702412868632708,0.00011558481510201232,0.0038762077275422717,"
+            "0.0011787896714436845",
+            "11,0.0,0.0,0.002568092225310222,0.0005260714236194983",
+            "12,0.0006702412868632708,0.000118323844169539,0.0037868084719914737,"
+            "0.0002311525952267507",
+        ]),
+        ("bounds-check", dict(sets=3, reps=2), [
+            "set,law,m,alpha,sigma2_ln,mu,ratio,reps,p_void_sim,se,bound_low,bound_high,"
+            "p_void_rca_formula,within_bounds",
+            "0,lognormal,3.413428503830402,4.607789638475278,1.1529492844104883,"
+            "0.3884684704163326,3.8777232911431367,2,0.0562685093780849,0.010122193531052391,"
+            "0.02069789465972237,0.1506933401444389,0.055839983908830985,1",
+            "1,unit,3.9634434809951884,3.5366416856402623,0.760646802775454,"
+            "-0.3503779634217278,4.295285649699199,2,0.047926267281105994,0.011391110725142603,"
+            "0.01363267697096835,0.14037653723069726,0.04580088513766978,1",
+            "2,unit,3.4208448708898453,4.315095384830345,1.1598299162266736,"
+            "-0.4465213059127674,5.10620226272273,2,0.02786377708978328,0.0053617502428778,"
+            "0.006059049964516836,0.11813635912155523,0.030675521218456975,1",
+        ]),
+        ("conservation-check", dict(reps=3, mark_law="deterministic:2"), [
+            "suite,n_mapped,chi2,dof,p_value",
+            "0,1053,29.64482431149098,24,0.3936073426608799",
+            "1,952,21.581932773109244,24,0.7915917584737958",
+            "2,1004,22.294820717131476,24,0.8766500922597852",
+        ]),
+        ("conservation-check", dict(reps=3, mark_law="channel", law="unit", sigma_db=8.0), [
+            "suite,n_mapped,chi2,dof,p_value",
+            "0,963,28.355140186915886,24,0.4906920314422486",
+            "1,1029,31.9086491739553,24,0.25854845593947157",
+            "2,977,16.321392016376663,24,0.2477449159633911",
+        ]),
+        ("formulas", dict(), [
+            "ratio,lambda_b,lambda_u,zeta_dagger,rho,p_void_nearest,p_void_rca,bound_low,"
+            "bound_high",
+            "2.0,185.0,370.0,1.0,3.5,0.20557426301997803,0.20557426301997803,"
+            "0.1353352832366127,0.33333333333333337",
+        ]),
+        ("formulas", dict(law="unit", m=0.5), [
+            "ratio,lambda_b,lambda_u,zeta_dagger,rho,p_void_nearest,p_void_rca,bound_low,"
+            "bound_high",
+            "2.0,185.0,370.0,inf,inf,0.20557426301997803,0.1353352832366127,0.1353352832366127,"
+            "0.1353352832366127",
+        ]),
+    ], ids=["void-prob", "coverage", "coverage-two-ratio", "remark2", "void-prob-unit",
+            "void-prob-lognormal", "cell-pmf", "bounds-check", "conservation-deterministic",
+            "conservation-channel", "formulas", "formulas-divergent"])
     def test_single_ratio_rows_pinned(self, experiment, extra, expected, tmp_path):
         # A one-ratio grid is drawn as it was before grids shared a draw; the
-        # two-ratio case pins the coupled coverage path and the remark2 case
-        # pins Ripley's K and its envelope.
+        # two-ratio case pins the coupled coverage path, the remark2 case
+        # pins Ripley's K and its envelope, and the unit and lognormal
+        # void-prob cases pin the thinned association kernel.
         out = tmp_path / "a.csv"
         run(ExperimentConfig(experiment=experiment, out=str(out), **{"ratio_grid": (2.0,), **extra}))
         assert [l for l in out.read_text().splitlines() if not l.startswith("#")] == expected

@@ -53,6 +53,19 @@ class CodedError(Exception):
         super().__init__(f"{message} (code {code})")
 
 
+class Reading:
+    """A draw result whose ``__reduce__`` rebuilds it with one of its two arguments.
+
+    It pickles, but unpickling calls the constructor with too few arguments.
+    """
+
+    def __init__(self, value: float, unit: str):
+        self.value, self.unit = value, unit
+
+    def __reduce__(self):
+        return type(self), (self.value,)
+
+
 @contextlib.contextmanager
 def watchdog(seconds: int):
     """Raise :class:`TimeoutError` in the block if it runs longer than ``seconds``."""
@@ -209,6 +222,18 @@ class TestRunReps:
         assert cpus.forked[-1] and type(parallel.value) is RuntimeError
         assert f"CodedError: {serial.value}" in str(parallel.value)
         assert "Traceback" in str(parallel.value.__cause__)
+
+    def test_unpicklable_worker_result_is_raised(self, cpus):
+        # A worker's result pickles there but cannot be rebuilt here; the
+        # caller raises instead of waiting for it forever.
+        @with_workers
+        def draw(rng):
+            return Reading(rng.random(), "km")
+
+        cpus(2)
+        with watchdog(30), pytest.raises(RuntimeError, match="do not survive pickling") as info:
+            run_reps(draw, 63, 8)
+        assert cpus.forked[-1] and isinstance(info.value.__cause__, TypeError)
 
     def test_nested_call_stays_serial(self, cpus):
         cpus(2)
