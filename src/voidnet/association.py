@@ -63,6 +63,9 @@ GRID_CELL_STATIONS = 2.0
 # Chebyshev radius s, in cells, of the near block whose links are all drawn.
 NEAR_BLOCK_RADIUS = 2
 
+# Users whose near-block links form one chunk of geometry at a time.
+_NEAR_CHUNK_USERS = 512
+
 # Log-spaced thresholds in each (channel, law)'s table of optimised
 # dominating events; a (user, ring) threshold is rounded down to it.
 THRESHOLD_TABLE_SIZE = 512
@@ -387,18 +390,30 @@ def _thinned_association(bs, users, cp, law, rng):
         ``wrapped_deltas`` forms them for (x, y) about the station."""
         return _shortest_way(x - bs_x[station], side), _shortest_way(y - bs_y[station], side)
 
-    # Near block: every link drawn, as one flat (user, station) list.
+    # Near block: every link drawn, as one flat (user, station) list.  All
+    # its weights and gains are drawn first; its geometry is formed
+    # ``_NEAR_CHUNK_USERS`` users at a time, which bounds a draw's memory.
     block_stations, block_len = grid.near_blocks()
+    block_first = np.cumsum(block_len) - block_len
     user_cell = user_xy[:, 0] * grid.g + user_xy[:, 1]
     near_len = block_len[user_cell]
-    near_station = block_stations[_ranges((np.cumsum(block_len) - block_len)[user_cell], near_len)]
-    weights = law.sample_weights(len(near_station), rng)
-    gains = sample_gain(cp, rng, size=len(near_station))
-    near_dx, near_dy = deltas(np.repeat(user_x, near_len), np.repeat(user_y, near_len),
-                              near_station)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        criterion = weights * gains / (near_dx * near_dx + near_dy * near_dy) ** half_alpha
-    best, best_station, best_link, second = _top_two(criterion, near_station, near_len, n_b)
+    near_first, n_links = np.cumsum(near_len) - near_len, int(near_len.sum())
+    weights = law.sample_weights(n_links, rng)
+    gains = sample_gain(cp, rng, size=n_links)
+    best, second = np.empty(n_u), np.empty(n_u)
+    best_station, best_link = np.empty(n_u, dtype=np.intp), np.empty(n_u, dtype=np.intp)
+    for lo in range(0, n_u, _NEAR_CHUNK_USERS):
+        chunk = slice(lo, lo + _NEAR_CHUNK_USERS)
+        chunk_len = near_len[chunk]
+        links = slice(near_first[lo], near_first[lo] + int(chunk_len.sum()))
+        station = block_stations[_ranges(block_first[user_cell[chunk]], chunk_len)]
+        dx, dy = deltas(np.repeat(user_x[chunk], chunk_len), np.repeat(user_y[chunk], chunk_len),
+                        station)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            criterion = weights[links] * gains[links] / (dx * dx + dy * dy) ** half_alpha
+        best[chunk], best_station[chunk], top, second[chunk] = _top_two(
+            criterion, station, chunk_len, n_b)
+        best_link[chunk] = top + links.start
 
     # Far rings k > s, thinned by the dominating event of their threshold.
     # W * H = Y * G / m, with ln Y ~ N(mu, sigma^2) and G ~ StandardGamma(m).
@@ -437,7 +452,7 @@ def _thinned_association(bs, users, cp, law, rng):
 
     serving_distance, serving_weight, serving_gain = np.empty(n_u), np.empty(n_u), np.empty(n_u)
     link = best_link[near]
-    serving_distance[near] = np.hypot(near_dx[link], near_dy[link])
+    serving_distance[near] = np.hypot(*deltas(user_x[near], user_y[near], best_station[near]))
     serving_weight[near], serving_gain[near] = weights[link], gains[link]
     won = cand_top[far]
     ln_x = ln_y[won]

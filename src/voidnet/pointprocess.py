@@ -5,16 +5,16 @@ scaling map (each point is scaled about the window centre by its own
 i.i.d. positive scale factor, which turns an intensity-lambda PPP into one
 of intensity lambda * E[1/T^2]), a quadrat-count chi-square test of
 complete spatial randomness, and the replication engine every
-Monte-Carlo estimate runs on (:func:`run_reps`), which splits the
-replications of a batch across the usable CPUs.
+Monte-Carlo estimate runs on (:func:`run_reps`), which runs the
+replications of a batch on one thread per usable CPU.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
-import pickle
 import threading
-import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +26,9 @@ from .geometry import SimulationWindow, uniform_points
 def rep_rng(seed: int, index: int) -> np.random.Generator:
     """Independent, reproducible stream for replication ``index``.
 
-    A stream depends only on ``(seed, index)``, not on which process draws
+    A stream depends only on ``(seed, index)``, not on which thread draws
     it or in what order, so :func:`run_reps` can hand replications to
-    worker processes and still return bit-identical results.
+    other threads and still return bit-identical results.
     """
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
@@ -36,14 +36,9 @@ def rep_rng(seed: int, index: int) -> np.random.Generator:
 # Sequential stopping gives up after this many batches of replications.
 MAX_SEQUENTIAL_BATCHES = 16
 
-# Wall time to fork a worker pool, run one task on it and tear it down
-# (about 12 ms on a 2-core Xeon VM, Python 3.11).  A batch goes to workers
-# only when sharing the rest of it saves more wall time than this.
-_POOL_START_S = 0.012
-
-# The (draw, seed, next_rep) of the run_reps call that forked this pool
-# worker; set only inside workers, which inherit them instead of unpickling.
-_worker_job = None
+# ``drawing`` is true on a thread while it draws for a parallel run_reps
+# call, so a draw's own run_reps call stays serial.
+_this_thread = threading.local()
 
 
 def _usable_cpus() -> int:
@@ -52,130 +47,34 @@ def _usable_cpus() -> int:
     return len(getaffinity(0)) if getaffinity else 1
 
 
-def _start_worker(draw, seed: int, next_rep) -> None:
-    global _worker_job
-    _worker_job = (draw, seed, next_rep)
+class _Claims:
+    """The indices of one batch, claimed one at a time by the threads that draw them.
 
-
-def _draws(draw, seed: int, lo: int, hi: int) -> list:
-    return [draw(rep_rng(seed, r)) for r in range(lo, hi)]
-
-
-def _claim_draws(draw, seed: int, next_rep, hi: int) -> list:
-    """``(index, error, result)`` of each index below ``hi`` this process claims.
-
-    Processes claim indices one at a time from the shared ``next_rep``, so
-    one that other load slows takes fewer; a draw that raises ends all claims.
+    A thread that other load slows claims fewer.  Claims end at ``stop``:
+    the end of the batch, lowered to the lowest index whose draw raised.
+    Every index below the lowest failing one is claimed before it, so all
+    of those are drawn however the threads interleave.
     """
-    claimed = []
-    while not claimed or claimed[-1][1] is None:
-        with next_rep.get_lock():
-            r = next_rep.value
-            next_rep.value = r + 1
-        if r >= hi:
-            break
+
+    def __init__(self, lo: int, hi: int):
+        self.indices, self.stop = itertools.count(lo), hi
+        self.results, self.errors = {}, {}
+        self.lock = threading.Lock()
+
+    def run(self, draw, seed: int) -> None:
+        _this_thread.drawing = True
         try:
-            claimed.append((r, None, draw(rep_rng(seed, r))))
-        except Exception as error:
-            claimed.append((r, error, None))
-            next_rep.value = hi
-    return claimed
-
-
-def _worker_draws(hi: int) -> bytes:
-    """This worker's claims, pickled here so the caller unpickles them itself."""
-    return pickle.dumps([(r, None if e is None else _portable(e), result)
-                         for r, e, result in _claim_draws(*_worker_job, hi)])
-
-
-def _unpickled_share(share: bytes) -> list:
-    """A worker's claims, unpickled in the caller's thread.
-
-    Left to the pool, a result that fails to unpickle would kill its
-    result handler and leave the caller waiting forever.
-    """
-    try:
-        return pickle.loads(share)
-    except Exception as error:
-        raise RuntimeError("a worker's draw results do not survive pickling") from error
-
-
-def _portable(error: Exception):
-    """``error`` with the worker's traceback, fit to be unpickled by the parent.
-
-    An error that does not survive a pickle round trip (say, one whose
-    constructor takes two arguments and that has no ``__reduce__``) would
-    keep the parent from unpickling the worker's whole share, so a
-    :class:`RuntimeError` naming it travels in its place.
-    """
-    from multiprocessing.pool import ExceptionWithTraceback  # keeps the worker's traceback
-
-    sent = error
-    try:
-        pickle.loads(pickle.dumps(error))
-    except Exception:
-        sent = RuntimeError(f"{type(error).__qualname__}: {error} "
-                            "(raised in a worker; it does not survive pickling)")
-    return ExceptionWithTraceback(sent, error.__traceback__)
-
-
-class _Batches:
-    """Runs index ranges of one ``run_reps`` call, forking workers once it pays.
-
-    A range's results are always in index order.  The pool, once started,
-    serves every later batch of the call; :meth:`close` reaps its workers.
-    """
-
-    def __init__(self, draw, seed: int):
-        self.draw, self.seed = draw, seed
-        self.pool, self.next_rep, self.workers = None, None, 0
-
-    def run(self, lo: int, hi: int) -> list:
-        results = []
-        if self.pool is None:
-            started = time.perf_counter()
-            results.append(self.draw(rep_rng(self.seed, lo)))
-            lo += 1
-            if not self._fork_pool(hi - lo, time.perf_counter() - started):
-                return results + _draws(self.draw, self.seed, lo, hi)
-        self.next_rep.value = lo  # this process and the workers claim the rest
-        pending = [self.pool.apply_async(_worker_draws, (hi,)) for _ in range(self.workers)]
-        claimed = _claim_draws(self.draw, self.seed, self.next_rep, hi)
-        claimed += [c for share in pending for c in _unpickled_share(share.get())]
-        for _, error, result in sorted(claimed, key=lambda c: c[0]):
-            if error is not None:
-                raise error
-            results.append(result)
-        return results
-
-    def _fork_pool(self, rest: int, draw_s: float) -> bool:
-        """Fork a pool if sharing ``rest`` draws of ``draw_s`` s each saves more than it costs.
-
-        Workers must inherit the draw, a closure that cannot be pickled, so
-        only ``fork`` will do.  Forking is unsafe while other threads run,
-        such as those of a pool still open around a nested call, and a
-        daemonic pool worker may not fork at all.
-        """
-        cpus = _usable_cpus()
-        saved_s = (rest - -(-rest // cpus)) * draw_s  # serial time minus the largest share's
-        if saved_s <= _POOL_START_S or threading.active_count() > 1:
-            return False
-        import multiprocessing  # only a run that can use a pool pays for the import
-
-        if ("fork" not in multiprocessing.get_all_start_methods()
-                or multiprocessing.current_process().daemon):
-            return False
-        context = multiprocessing.get_context("fork")
-        self.next_rep = context.Value("q", 0)
-        self.workers = cpus - 1
-        self.pool = context.Pool(self.workers, initializer=_start_worker,
-                                 initargs=(self.draw, self.seed, self.next_rep))
-        return True
-
-    def close(self) -> None:
-        if self.pool is not None:
-            self.pool.terminate()
-            self.pool.join()
+            for r in self.indices:
+                if r >= self.stop:
+                    return
+                try:
+                    self.results[r] = draw(rep_rng(seed, r))
+                except BaseException as error:  # run_reps raises it in the calling thread
+                    with self.lock:
+                        self.errors[r] = error
+                        self.stop = min(self.stop, r)
+        finally:
+            _this_thread.drawing = False
 
 
 def run_reps(draw, seed: int, reps: int, done=None) -> list:
@@ -188,32 +87,47 @@ def run_reps(draw, seed: int, reps: int, done=None) -> list:
     the streams, so stopping after k batches equals the fixed run of
     k * reps.  Raises :class:`RuntimeError` after ``MAX_SEQUENTIAL_BATCHES``.
 
-    Replications may run in parallel.  The first of a batch is timed here;
-    when splitting the rest across the usable CPUs would save more wall
-    time than starting a pool costs, this process and one worker forked
-    per further CPU (one pool serves all batches of the call) claim them
-    one index at a time.  Workers return their summaries, which must
-    survive pickling (else :class:`RuntimeError`), and ``done`` sees them
-    in index order, so the result and the stopping point do not depend on
-    who drew what.  A draw's exception reaches the caller as the serial
-    run would raise it, except that one raised in a worker that does not
-    survive pickling arrives as a :class:`RuntimeError` naming it; side
-    effects of a draw inside a worker are lost.  Runs stay serial on one
-    CPU, without ``fork``, inside a worker and while other threads run (so
-    a nested call never forks).
+    Replications run on threads: this one and one pool thread per further
+    usable CPU (one pool serves all batches of the call) claim them one
+    index at a time.  numpy's large array loops and scipy's k-d-tree
+    queries release the GIL, so the draws overlap.  ``done`` sees the
+    results in index order, so the result and the stopping point do not
+    depend on who drew what, and the exception of the lowest failing index
+    reaches the caller as raised, after which no further index is claimed.
+    ``draw`` must be safe to call from several threads at once.  Runs stay
+    serial on one CPU, for ``reps == 1`` and within a draw of a parallel
+    run (so a nested call starts no pool).
     Raises :class:`ValueError` for ``reps < 1`` before any draw.
     """
     if reps < 1:
         raise ValueError(f"need at least one replication, got reps={reps}")
-    batches = _Batches(draw, seed)
+    cpus = _usable_cpus()
+    if cpus < 2 or reps < 2 or getattr(_this_thread, "drawing", False):
+        pool = None
+    else:
+        pool = ThreadPoolExecutor(cpus - 1, thread_name_prefix="run_reps")
+
+    def batch(lo: int, hi: int) -> list:
+        if pool is None:
+            return [draw(rep_rng(seed, r)) for r in range(lo, hi)]
+        claims = _Claims(lo, hi)
+        helpers = [pool.submit(claims.run, draw, seed) for _ in range(cpus - 1)]
+        claims.run(draw, seed)
+        for helper in helpers:
+            helper.result()
+        if claims.errors:
+            raise claims.errors[min(claims.errors)]
+        return [claims.results[r] for r in range(lo, hi)]
+
     try:
-        results = batches.run(0, reps)
+        results = batch(0, reps)
         while done is not None and not done(results):
             if len(results) >= MAX_SEQUENTIAL_BATCHES * reps:
                 raise RuntimeError(f"half-width target still missed after {len(results)} replications")
-            results.extend(batches.run(len(results), len(results) + reps))
+            results.extend(batch(len(results), len(results) + reps))
     finally:
-        batches.close()
+        if pool is not None:
+            pool.shutdown()
     return results
 
 
@@ -246,8 +160,8 @@ class PointPattern:
         object.__setattr__(self, "points", pts)
 
     def __reduce__(self):
-        # Rebuild through __post_init__ so an unpickled pattern (say, one a
-        # run_reps worker returned) keeps its read-only points.
+        # Rebuild through __post_init__ so an unpickled pattern keeps its
+        # read-only points.
         return type(self), (self.points, self.window, self.intensity_declared)
 
     def __len__(self) -> int:

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.special import gammaincc
 
+from voidnet import association
 from voidnet.analytics import pooled_fraction, user_count_pmf, void_prob_nearest, wilson_interval
 from voidnet.association import (
     NEAR_BLOCK_RADIUS,
@@ -449,6 +452,27 @@ class TestThinnedGrid:
         assert np.array_equal(out.serving_distance,
                               distances_to_point(users.points, bs.points[out.assignments], window)
                               if n_u else np.zeros(0))
+
+
+    @given(st.integers(1, 400), st.sampled_from([0, 1, 6, 7, 8, 13, 14, 15, 511, 512, 513]),
+           st.integers(0, 2**32 - 1), st.sampled_from(["unit", "lognormal"]))
+    def test_chunked_near_block_is_exact(self, n_b, n_u, seed, kind):
+        # The near block's geometry is formed a chunk of users at a time; the
+        # outcome must not depend on the chunk size, on either side of a
+        # chunk edge, down to one user per chunk.
+        rng = np.random.default_rng(seed)
+        window = SimulationWindow(side=float(rng.uniform(0.5, 20.0)))
+        bs = pattern(rng.uniform(0.0, window.side, (n_b, 2)), window=window)
+        users = pattern(rng.uniform(0.0, window.side, (n_u, 2)), window=window)
+        law = WeightLaw.unit() if kind == "unit" else WeightLaw.lognormal(0.0, 4.0)
+        outcomes = []
+        for chunk in (1, 7, association._NEAR_CHUNK_USERS, n_u + 1):
+            with mock.patch.object(association, "_NEAR_CHUNK_USERS", chunk):
+                outcomes.append(associate(bs, users, SHADOWED, law, np.random.default_rng(seed)))
+        for out in outcomes[1:]:
+            for field in dataclasses.fields(AssociationOutcome):
+                a, b = getattr(outcomes[0], field.name), getattr(out, field.name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), field.name
 
 
 class TestVoidProbabilityMc:

@@ -1,9 +1,9 @@
-"""``run_reps`` on worker processes returns the serial results bit for bit.
+"""``run_reps`` on threads returns the serial results bit for bit.
 
 Each test runs the same call with one usable CPU (serial) and with two or
-three, and requires ``==`` results.  The ``cpus`` fixture also sets the
-pool start-up cost to zero, so on two CPUs every batch of three or more
-replications forks, however cheap its draws are.
+three, and requires ``==`` results.  On two or more CPUs every call of two
+or more replications opens a thread pool, however cheap its draws are;
+the ``cpus`` fixture logs each pool started.
 """
 
 import contextlib
@@ -11,6 +11,9 @@ import dataclasses
 import multiprocessing
 import os
 import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -27,30 +30,24 @@ RAYLEIGH = ChannelParams(m=1.0, mu=0.0, sigma2=0.0, alpha=4.0)
 
 
 class QuadratureError(RuntimeError):
-    """A numerical failure whose constructor takes two arguments.
-
-    The default pickling rebuilds an exception from ``args``, here the
-    formatted message alone, so ``__reduce__`` must pass both back.
-    """
+    """A numerical failure whose constructor takes two arguments."""
 
     def __init__(self, message: str, achieved_tol: float):
         super().__init__(f"{message} (achieved tolerance {achieved_tol:.3e})")
         self.message = message
         self.achieved_tol = achieved_tol
 
-    def __reduce__(self):
-        return type(self), (self.message, self.achieved_tol)
-
 
 class CodedError(Exception):
     """An error whose constructor takes two arguments and that has no ``__reduce__``.
 
-    Pickling keeps only ``args``, the formatted message, so unpickling
-    calls the constructor with one argument and fails.
+    Pickling keeps only ``args``, the formatted message, so it cannot be
+    rebuilt from a pickle; a run on threads never needs to.
     """
 
     def __init__(self, message: str, code: int):
         super().__init__(f"{message} (code {code})")
+        self.code = code
 
 
 class Reading:
@@ -83,29 +80,27 @@ def watchdog(seconds: int):
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """``cpus(n)`` makes ``run_reps`` see n CPUs; ``cpus.forked`` logs pool starts."""
-    fork_pool = pointprocess._Batches._fork_pool
-
-    def spy(self, *args):
-        use.forked.append(fork_pool(self, *args))
-        return use.forked[-1]
+    """``cpus(n)`` makes ``run_reps`` see n CPUs; ``cpus.pools`` logs the pools started."""
+    class SpiedPool(pointprocess.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            use.pools.append(self)
 
     def use(n):
         monkeypatch.setattr(pointprocess, "_usable_cpus", lambda: n)
-        monkeypatch.setattr(pointprocess, "_POOL_START_S", 0.0)
 
-    use.forked = []
-    monkeypatch.setattr(pointprocess._Batches, "_fork_pool", spy)
+    use.pools = []
+    monkeypatch.setattr(pointprocess, "ThreadPoolExecutor", SpiedPool)
     return use
 
 
 def serial_and_parallel(cpus, call, workers=2):
     cpus(1)
     serial = call()
-    assert not any(cpus.forked)
+    assert not cpus.pools
     cpus(workers)
     parallel = call()
-    assert any(cpus.forked)
+    assert cpus.pools
     return serial, parallel
 
 
@@ -122,26 +117,28 @@ def same(a, b) -> bool:
     return a == b
 
 
-def pid_draw(rng):
-    return os.getpid(), rng.random()
+def thread_draw(rng):
+    return threading.get_ident(), rng.random()
 
 
-def with_workers(draw):
-    """``draw``, but this process waits beside an open pool until a worker has drawn.
+def pool_open() -> bool:
+    return any(t.name.startswith("run_reps") for t in threading.enumerate())
 
-    Replication 0 is timed here before any pool exists.  With a pool,
-    this process claims replication 1 and holds it until a worker has
-    claimed replication 2, so workers take part however cheap the draws
-    are.
+
+def shared(draw):
+    """``draw``, but while a pool is open the first thread to draw waits for a second.
+
+    So at least two threads take part however cheap the draws are.  Wrap
+    the draw afresh for each call.
     """
-    parent = os.getpid()
-    worker_drew = multiprocessing.get_context("fork").Event()
+    drew, both = set(), threading.Event()
 
     def wrapped(rng):
-        if os.getpid() != parent:
-            worker_drew.set()
-        elif multiprocessing.active_children():
-            assert worker_drew.wait(timeout=60)
+        drew.add(threading.get_ident())
+        if len(drew) > 1:
+            both.set()
+        elif pool_open():
+            assert both.wait(timeout=60)
         return draw(rng)
 
     return wrapped
@@ -149,13 +146,14 @@ def with_workers(draw):
 
 class TestRunReps:
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_ranges_split_across_processes(self, cpus, workers):
-        draw = with_workers(pid_draw)
-        serial, parallel = serial_and_parallel(cpus, lambda: run_reps(draw, 61, 9), workers)
+    def test_ranges_split_across_threads(self, cpus, workers):
+        before = threading.active_count()
+        serial, parallel = serial_and_parallel(cpus, lambda: run_reps(shared(thread_draw), 61, 9),
+                                               workers)
         assert [x for _, x in parallel] == [x for _, x in serial]
-        pids = [pid for pid, _ in parallel]
-        assert pids[:2] == [os.getpid()] * 2  # timed here, then claimed beside the workers
-        assert 2 <= len(set(pids)) <= workers  # any idle worker may claim the rest
+        assert {t for t, _ in serial} == {threading.get_ident()}
+        assert 2 <= len({t for t, _ in parallel}) <= workers  # any idle thread may claim the rest
+        assert threading.active_count() == before  # the pool's threads are joined
 
     def test_sequential_stopping_sees_the_serial_lists(self, cpus):
         def run():
@@ -165,48 +163,54 @@ class TestRunReps:
                 seen.append([x for _, x in results])
                 return len(results) >= 7
 
-            return [x for _, x in run_reps(pid_draw, 62, 3, done=done)], seen
+            return [x for _, x in run_reps(shared(thread_draw), 62, 3, done=done)], seen
 
         serial, parallel = serial_and_parallel(cpus, run)
         assert parallel == serial
         assert [len(s) for s in parallel[1]] == [3, 6, 9]
+        assert len(cpus.pools) == 1  # one pool serves every batch of the call
 
     @pytest.mark.parametrize(
         "error, bad",
         [(ValueError, (0,)), (ValueError, (1,)), (ValueError, (2,)), (QuadratureError, (2,)),
          (ValueError, (1, 2))],
-        ids=["first", "parent-share", "worker-share", "quadrature-in-worker", "lowest-of-two"],
+        ids=["first", "second", "third", "two-argument-error", "lowest-of-two"],
     )
     def test_draw_exception_reaches_the_caller(self, cpus, error, bad):
-        # 8 reps on 2 CPUs: 0 is timed here, 1 is claimed here and 2 on the
-        # worker.  With both 1 and 2 bad, the parallel run must raise at 1
-        # as the serial one does, whichever process fails first.
-        rejected = {rep_rng(63, r).random() for r in bad}
+        # With both 1 and 2 bad, both fail in the parallel run (each waits
+        # for the other), which must raise at 1 as the serial one does; the
+        # object raised is the one the draw raised, with its own traceback.
+        rejected = {rep_rng(63, r).random(): r for r in bad}
+        raised, all_bad_drawn = {}, threading.Barrier(len(bad))
 
-        @with_workers
         def draw(rng):
             x = rng.random()
             if x in rejected:
-                raise (ValueError(f"draw {x!r} rejected") if error is ValueError
-                       else QuadratureError(f"draw {x!r} rejected", achieved_tol=1e-3))
+                if pool_open():
+                    all_bad_drawn.wait(timeout=60)
+                raised[rejected[x]] = (
+                    ValueError(f"draw {x!r} rejected") if error is ValueError
+                    else QuadratureError(f"draw {x!r} rejected", achieved_tol=1e-3))
+                raise raised[rejected[x]]
             return x
 
-        raised = []
+        seen = []
         for n in (1, 2):
             cpus(n)
             with pytest.raises(error) as info:
-                run_reps(draw, 63, 8)
-            raised.append((type(info.value), str(info.value), getattr(info.value, "achieved_tol", None)))
-        assert raised[0] == raised[1]
-        if bad == (2,):  # raised on the worker, whose traceback comes along
-            assert "Traceback" in str(info.value.__cause__)
+                run_reps(shared(draw), 63, 8)
+            assert info.value is raised[min(bad)]
+            assert info.traceback[-1].name == "draw"
+            seen.append((type(info.value), str(info.value), getattr(info.value, "achieved_tol", None)))
+        assert seen[0] == seen[1]
+        assert len(cpus.pools) == 1
 
     def test_unpicklable_worker_error_is_raised(self, cpus):
-        # The worker's error cannot be rebuilt in this process, so it comes
-        # back as a RuntimeError that names it; the serial run raises it as is.
+        # An error that cannot be rebuilt from a pickle reaches the caller
+        # as itself, whichever thread raised it: same type, message and
+        # attributes as the serial run's.
         rejected = rep_rng(63, 2).random()
 
-        @with_workers
         def draw(rng):
             x = rng.random()
             if x == rejected:
@@ -217,51 +221,109 @@ class TestRunReps:
         with pytest.raises(CodedError) as serial:
             run_reps(draw, 63, 8)
         cpus(2)
-        with watchdog(30), pytest.raises(RuntimeError) as parallel:
-            run_reps(draw, 63, 8)
-        assert cpus.forked[-1] and type(parallel.value) is RuntimeError
-        assert f"CodedError: {serial.value}" in str(parallel.value)
-        assert "Traceback" in str(parallel.value.__cause__)
+        with watchdog(30), pytest.raises(CodedError) as parallel:
+            run_reps(shared(draw), 63, 8)
+        assert cpus.pools and type(parallel.value) is CodedError
+        assert str(parallel.value) == str(serial.value) and parallel.value.code == 7
 
-    def test_unpicklable_worker_result_is_raised(self, cpus):
-        # A worker's result pickles there but cannot be rebuilt here; the
-        # caller raises instead of waiting for it forever.
-        @with_workers
+    def test_unpicklable_worker_result_comes_back_intact(self, cpus):
+        # A result that cannot be rebuilt from a pickle is returned as drawn.
+        @shared
         def draw(rng):
             return Reading(rng.random(), "km")
 
         cpus(2)
-        with watchdog(30), pytest.raises(RuntimeError, match="do not survive pickling") as info:
-            run_reps(draw, 63, 8)
-        assert cpus.forked[-1] and isinstance(info.value.__cause__, TypeError)
+        with watchdog(30):
+            results = run_reps(draw, 63, 8)
+        assert cpus.pools
+        assert [(r.value, r.unit) for r in results] == [(rep_rng(63, i).random(), "km")
+                                                        for i in range(8)]
 
     def test_nested_call_stays_serial(self, cpus):
         cpus(2)
 
         def outer(rng):
-            inner = run_reps(lambda inner_rng: (os.getpid(), inner_rng.random()), 64, 3)
-            return os.getpid(), inner
+            inner = run_reps(thread_draw, 64, 3)
+            return threading.get_ident(), inner
 
-        results = run_reps(with_workers(outer), 65, 6)
-        assert {pid for pid, _ in results} != {os.getpid()}  # some ran on a worker
-        for pid, inner in results:
+        results = run_reps(shared(outer), 65, 6)
+        assert len({t for t, _ in results}) == 2  # both threads drew
+        for thread, inner in results:
             assert [x for _, x in inner] == [rep_rng(64, r).random() for r in range(3)]
-        # Replication 0 is timed before the pool exists, so its inner call
-        # may fork; every later one runs beside the open pool or in a worker.
-        for pid, inner in results[1:]:
-            assert [p for p, _ in inner] == [pid] * 3
+            assert [t for t, _ in inner] == [thread] * 3  # in the outer draw's own thread
+        assert len(cpus.pools) == 1  # no inner call opened a pool
 
     def test_one_draw_left_stays_in_process(self, cpus):
-        # Sharing a single remaining draw saves nothing, whatever a pool costs.
+        # A single replication per batch runs on the calling thread.
         cpus(2)
-        assert {pid for pid, _ in run_reps(pid_draw, 67, 2)} == {os.getpid()}
-        assert cpus.forked == [False]
+        results = run_reps(thread_draw, 67, 1)
+        assert [t for t, _ in results] == [threading.get_ident()]
+        seen = []
+        results = run_reps(thread_draw, 67, 1, done=lambda rs: seen.append(len(rs)) or len(rs) >= 3)
+        assert seen == [1, 2, 3] and {t for t, _ in results} == {threading.get_ident()}
+        assert not cpus.pools
 
-    def test_cheap_draws_stay_in_process(self, monkeypatch):
-        monkeypatch.setattr(pointprocess, "_usable_cpus", lambda: 2)
+    def test_cheap_draws_stay_in_process(self, cpus):
+        # However cheap, draws run on threads of this process, so what they
+        # record stays recorded.
+        cpus(2)
         calls = []
-        run_reps(calls.append, 66, 50)
-        assert len(calls) == 50
+        run_reps(lambda rng: calls.append(rng.random()), 66, 50)
+        assert sorted(calls) == sorted(rep_rng(66, r).random() for r in range(50))
+        assert cpus.pools
+
+    def test_a_failing_draw_cancels_the_pending_ones(self, cpus):
+        # Index 1 of 200 raises; no thread claims an index after that.
+        cpus(2)
+        rejected = rep_rng(68, 1).random()
+        drawn = []
+
+        def draw(rng):
+            x = rng.random()
+            drawn.append(x)
+            if x == rejected:
+                raise ValueError("rejected")
+            time.sleep(0.001)  # lets the failing thread run while the other draws
+            return x
+
+        with watchdog(30), pytest.raises(ValueError, match="rejected"):
+            run_reps(draw, 68, 200)
+        assert cpus.pools
+        assert rejected in drawn and len(drawn) < 50
+
+    def test_each_index_drawn_once_under_contention(self, cpus):
+        # Eight threads on fewer cores, switching every microsecond: a lost
+        # or repeated claim would skip or redraw an index, and every index
+        # below a failing one must still be drawn.
+        expected = [rep_rng(70, r).random() for r in range(2000)]
+        drawn = [[], []]
+
+        def draw(rng, run, fail):
+            x = rng.random()
+            drawn[run].append(x)
+            if fail and x == expected[1234]:
+                raise ValueError("rejected")
+            return x
+
+        cpus(8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with watchdog(60):
+                assert run_reps(lambda rng: draw(rng, 0, False), 70, 2000) == expected
+                with pytest.raises(ValueError):
+                    run_reps(lambda rng: draw(rng, 1, True), 70, 2000)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(drawn[0]) == sorted(expected)
+        assert len(drawn[1]) == len(set(drawn[1])) and set(expected[:1235]) <= set(drawn[1])
+
+    def test_parallel_run_starts_no_process(self, cpus):
+        cpus(2)
+        results = run_reps(shared(lambda rng: os.getpid()), 69, 8)
+        assert cpus.pools
+        assert results == [os.getpid()] * 8
+        assert multiprocessing.active_children() == []
 
 
 class TestExperiments:

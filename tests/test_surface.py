@@ -101,8 +101,9 @@ def test_estimators_take_reps_window_seed(estimator):
 
 
 def test_cli_import_loads_no_pool():
-    # run_reps imports multiprocessing only when it forks, so CLI start-up
-    # does not pay for it.  A fresh interpreter: this one may have forked.
+    # run_reps runs replications on threads, so neither CLI start-up nor
+    # any run loads the process-pool machinery.  A fresh interpreter: other
+    # tests in this one may have loaded it.
     src = Path(voidnet.__file__).resolve().parents[1]
     code = ("import sys, voidnet.cli; "
             "print(sorted(m for m in ('multiprocessing', 'multiprocessing.pool') if m in sys.modules))")
