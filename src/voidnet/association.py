@@ -78,8 +78,8 @@ class AssociationOutcome:
     ``assignments[u]`` is the serving base-station index of user u, and
     ``serving_weight[u]`` / ``serving_gain[u]`` are the W and H of that
     serving link; ``cell_counts`` partitions the users over stations, so
-    its sum equals the user count, and ``void_count`` is its number of
-    zero entries.  ``near_tie[u]`` flags a runner-up criterion within
+    its sum equals the user count and its zero entries are the void
+    stations.  ``near_tie[u]`` flags a runner-up criterion within
     ``NEAR_TIE_RTOL`` of user u's best.
     """
 
@@ -93,11 +93,6 @@ class AssociationOutcome:
     def __post_init__(self) -> None:
         if int(self.cell_counts.sum()) != len(self.assignments):
             raise ValueError("cell counts do not partition the user set")
-
-    @property
-    def void_count(self) -> int:
-        """Stations that serve no user."""
-        return int(np.sum(self.cell_counts == 0))
 
     @property
     def near_tie_fraction(self) -> float:
@@ -114,18 +109,18 @@ def associate(
 ) -> AssociationOutcome:
     """Assign every user to its criterion-maximizing base station.
 
-    Ties break toward the lowest station index.  Under the nearest law
-    the gains cancel out of the criterion: the assignment is a periodic
-    nearest-station query, and the only draws are the serving-link gains
-    (the serving weight is W = 1/H).  Under the unit and log-normal laws
-    the near-block links are drawn exactly and the far rings thinned (see
-    the module docstring), in a fixed draw order for reproducibility:
-    the near-block weights (log-normal law only), the near-block gains,
-    the Binomial count of every (user, ring), the uniform picks of the
-    counted stations, the conditional (Y, G) draws of those candidates,
-    and last the split of Y into weight and shadowing for each user won
-    by a far candidate (log-normal law only; the conditional law of the
-    shadowing given Y is normal).
+    Ties break toward the lowest station index, except under the nearest
+    law.  Its gains cancel out: the assignment is a periodic nearest-station
+    query, which sends an exact tie (probability zero in PPP draws) to any
+    tied station, and the only draws are the serving-link gains (W = 1/H).
+    Under the unit and log-normal laws the near-block links are drawn
+    exactly and the far rings thinned (see the module docstring), in a fixed
+    draw order for reproducibility: the near-block weights (log-normal law
+    only), the near-block gains, the Binomial count of every (user, ring),
+    the uniform picks of the counted stations, the conditional (Y, G) draws
+    of those candidates, and last the split of Y into weight and shadowing
+    for each user won by a far candidate (log-normal law only; the
+    conditional law of the shadowing given Y is normal).
     """
     n_b = len(bs)
     if n_b == 0:
@@ -471,13 +466,22 @@ def _thinned_association(bs, users, cp, law, rng):
     return assignments, serving_distance, serving_weight, serving_gain, near_tie
 
 
-def associated_pattern(outcome: AssociationOutcome, bs: PointPattern) -> PointPattern:
+def _station_counts(bs, users, cp, law, rng) -> np.ndarray:
+    """``associate(...).cell_counts``; under the nearest law, one periodic
+    nearest-station query that draws nothing from ``rng``."""
+    if law.kind != NEAREST:
+        return associate(bs, users, cp, law, rng).cell_counts
+    _, nearest = cKDTree(bs.points, boxsize=bs.window.side).query(users.points, k=1)
+    return np.bincount(nearest, minlength=len(bs))
+
+
+def associated_pattern(cell_counts: np.ndarray, bs: PointPattern) -> PointPattern:
     """Sub-pattern of base stations that serve at least one user.
 
-    Declared intensity is the original intensity thinned by the realized
-    non-void fraction.
+    ``cell_counts`` as :func:`associate` reports them.  Declared intensity
+    is the original intensity thinned by the realized non-void fraction.
     """
-    keep = outcome.cell_counts > 0
+    keep = cell_counts > 0
     retained = float(np.mean(keep)) if len(bs) else 0.0
     return PointPattern(
         points=bs.points[keep],
@@ -502,9 +506,7 @@ def _replication_cells(
     bs = sample_ppp(lambda_b, window, rng)
     if len(bs) == 0:
         return np.zeros(0, dtype=int)
-    users = sample_ppp(lambda_u, window, rng)
-    outcome = associate(bs, users, cp, law, rng)
-    return outcome.cell_counts
+    return _station_counts(bs, sample_ppp(lambda_u, window, rng), cp, law, rng)
 
 
 def _void_estimates(hists: list[np.ndarray], retain) -> list[EstimateWithCI]:
@@ -564,8 +566,7 @@ def _cell_histograms(
         )
 
     def draw(rng: np.random.Generator) -> np.ndarray:
-        counts = _replication_cells(lambda_b, lambda_u, cp, law, window, rng)
-        return np.bincount(counts, minlength=1)
+        return np.bincount(_replication_cells(lambda_b, lambda_u, cp, law, window, rng), minlength=1)
 
     def done(hists: list[np.ndarray]) -> bool:
         return all(e.half_width <= half_width for e in _void_estimates(hists, retain))

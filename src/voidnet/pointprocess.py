@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtr, chdtrc
 
 from .geometry import SimulationWindow, uniform_points
 
@@ -270,5 +270,5 @@ def csr_test(pattern: PointPattern, grid: int) -> CsrReport:
     counts, _, _ = np.histogram2d(pattern.points[:, 0], pattern.points[:, 1], bins=[edges, edges])
     statistic = float(np.sum((counts - expected) ** 2) / expected)
     dof = cells - 1
-    p_value = float(min(1.0, 2.0 * min(stats.chi2.cdf(statistic, dof), stats.chi2.sf(statistic, dof))))
+    p_value = float(min(1.0, 2.0 * min(chdtr(dof, statistic), chdtrc(dof, statistic))))
     return CsrReport(statistic=statistic, dof=dof, p_value=p_value)

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .analytics import pooled_fraction
-from .association import associate, associated_pattern
+from .association import _station_counts, associated_pattern
 from .channel import ChannelParams, WeightLaw
 from .geometry import SimulationWindow
 from .pointprocess import PointPattern, run_reps, sample_ppp
@@ -155,13 +155,13 @@ def remark2_test(
 ) -> Remark2Report:
     """Compare associated-station K functions against a CSR envelope.
 
-    Runs ``reps`` association rounds, thins each round to its non-void
+    Runs ``reps`` rounds that count each station's users (under the
+    nearest law, with no gain draw), thins each round to its non-void
     stations, and checks their K_hat at the window's :func:`default_radii`
-    against an envelope of PPPs at the matched intensity
-    (1 - void fraction) * lambda_b.  When the realized
-    void fraction is negligible the report is flagged uninformative: the
-    pattern is then nearly the full PPP and only the false-positive floor
-    remains.
+    against an envelope of PPPs at the matched intensity (1 - void
+    fraction) * lambda_b.  When the realized void fraction is negligible
+    the report is flagged uninformative: the pattern is then nearly the
+    full PPP and only the false-positive floor remains.
     """
     r = default_radii(window)
 
@@ -170,14 +170,13 @@ def remark2_test(
         if len(bs) == 0:
             raise RuntimeError("empty base-station draw; enlarge the window")
         users = sample_ppp(lambda_u, window, rng)
-        outcome = associate(bs, users, cp, law, rng)
-        kept = associated_pattern(outcome, bs)
+        kept = associated_pattern(_station_counts(bs, users, cp, law, rng), bs)
         if len(kept) < MIN_POINTS:
             raise ValueError(
                 f"associated pattern has {len(kept)} stations (< {MIN_POINTS}); "
                 "no K statistic is possible at these intensities"
             )
-        return ripley_k(kept, r).k_hat, outcome.void_count, len(bs)
+        return ripley_k(kept, r).k_hat, len(bs) - len(kept), len(bs)
 
     results = run_reps(draw, seed, reps)
     void_fraction, _, _ = pooled_fraction([v for _, v, _ in results], [c for _, _, c in results])

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.special import gammaincc
@@ -22,6 +22,7 @@ from voidnet.association import (
     _draw_dominating,
     _threshold_table,
     _cell_histograms,
+    _station_counts,
     _void_estimates,
     associate,
     associated_pattern,
@@ -54,7 +55,7 @@ class TestAssociate:
         users = sample_ppp(1.0, WINDOW, np.random.default_rng(0))
         out = associate(bs, users, RAYLEIGH, WeightLaw.unit(), np.random.default_rng(1))
         assert np.all(out.assignments == 0)
-        assert out.void_count == 0
+        assert np.all(out.cell_counts == [len(users)])
 
     def test_nearest_picks_closer_station(self):
         bs = pattern([[2.5, 5.0], [7.5, 5.0]])
@@ -76,7 +77,6 @@ class TestAssociate:
         out = associate(bs, users, RAYLEIGH, WeightLaw.unit(), rng)
         assert out.cell_counts.sum() == len(users)
         assert len(out.assignments) == len(users)
-        assert out.void_count == int(np.sum(out.cell_counts == 0))
 
     def test_nearest_ignores_gain_stream(self):
         rng = rep_rng(5, 0)
@@ -420,11 +420,12 @@ class TestThinnedGrid:
     def test_one_station_and_no_users(self, law):
         users = pattern(np.random.default_rng(2).uniform(0.0, 10.0, (40, 2)))
         out = associate(pattern([[3.0, 4.0]]), users, SHADOWED, law, np.random.default_rng(1))
-        assert np.all(out.assignments == 0) and out.void_count == 0
+        assert np.all(out.assignments == 0) and np.all(out.cell_counts == [40])
         assert not out.near_tie.any()
         bs = pattern(np.random.default_rng(3).uniform(0.0, 10.0, (90, 2)))
         empty = associate(bs, pattern(np.zeros((0, 2))), SHADOWED, law, np.random.default_rng(1))
-        assert len(empty.assignments) == 0 and empty.void_count == 90
+        assert len(empty.assignments) == 0 and np.all(empty.cell_counts == 0)
+        assert len(empty.cell_counts) == 90
         assert empty.near_tie_fraction == 0.0
 
     @pytest.mark.parametrize("law", [WeightLaw.unit(), WeightLaw.lognormal(0.0, 4.0)],
@@ -473,6 +474,57 @@ class TestThinnedGrid:
             for field in dataclasses.fields(AssociationOutcome):
                 a, b = getattr(outcomes[0], field.name), getattr(out, field.name)
                 assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+
+
+class TestStationCounts:
+    LAWS = {"nearest": WeightLaw.nearest(), "unit": WeightLaw.unit(),
+            "lognormal": WeightLaw.lognormal(0.3, 2.0)}
+
+    @given(st.integers(1, 300), st.integers(0, 300), st.integers(0, 2**32 - 1),
+           st.sampled_from(sorted(LAWS)))
+    @example(1, 40, 3, "nearest")
+    @example(1, 40, 3, "unit")
+    @example(1, 40, 3, "lognormal")
+    @example(60, 0, 3, "nearest")
+    @example(60, 0, 3, "unit")
+    @example(60, 0, 3, "lognormal")
+    def test_counts_are_associates_and_draw_only_what_it_draws(self, n_b, n_u, seed, kind):
+        # Under the nearest law the count path draws nothing; under the
+        # other laws it leaves the stream where associate leaves it.
+        rng = np.random.default_rng(seed)
+        window = SimulationWindow(side=float(rng.uniform(0.5, 20.0)))
+        bs = pattern(rng.uniform(0.0, window.side, (n_b, 2)), window=window)
+        users = pattern(rng.uniform(0.0, window.side, (n_u, 2)), window=window)
+        law = self.LAWS[kind]
+        full_rng, count_rng = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+        before = count_rng.bit_generator.state
+        out = associate(bs, users, SHADOWED, law, full_rng)
+        counts = _station_counts(bs, users, SHADOWED, law, count_rng)
+        assert counts.dtype == out.cell_counts.dtype
+        assert np.array_equal(counts, out.cell_counts)
+        expected = before if kind == "nearest" else full_rng.bit_generator.state
+        assert count_rng.bit_generator.state == expected
+
+    def test_nearest_user_on_coincident_stations_takes_one_of_them(self):
+        # The k-d query sends an exact tie to any of the tied stations, not
+        # always the lowest index; exact ties have probability zero in PPP
+        # draws.  associate and the count path must both land among them.
+        rng = np.random.default_rng(4)
+        points = rng.uniform(0.0, 10.0, (150, 2))
+        tied = [7, 40, 90]
+        points[tied] = points[7]
+        bs, law = pattern(points), WeightLaw.nearest()
+        users = pattern(np.vstack([points[7], points[[12]], rng.uniform(0.0, 10.0, (30, 2))]))
+        with np.errstate(invalid="ignore"):  # user 0's near-tie distance ratio is 0/0
+            out = associate(bs, users, SHADOWED, law, np.random.default_rng(5))
+        assert out.assignments[0] in tied and out.serving_distance[0] == 0.0
+        assert out.assignments[1] == 12 and out.serving_distance[1] == 0.0
+        on_station = _station_counts(bs, pattern(points[[7]]), SHADOWED, law,
+                                     np.random.default_rng(5))
+        assert on_station[tied].sum() == 1 and on_station.sum() == 1
+        counts = _station_counts(bs, users, SHADOWED, law, np.random.default_rng(5))
+        assert counts[tied].sum() == out.cell_counts[tied].sum()
+        assert np.array_equal(np.delete(counts, tied), np.delete(out.cell_counts, tied))
 
 
 class TestVoidProbabilityMc:
@@ -692,7 +744,7 @@ class TestAssociatedPattern:
         bs = pattern([[2.0, 2.0], [8.0, 8.0]], intensity=0.02)
         users = sample_ppp(2.0, WINDOW, np.random.default_rng(11))
         out = associate(bs, users, RAYLEIGH, WeightLaw.nearest(), np.random.default_rng(12))
-        kept = associated_pattern(out, bs)
+        kept = associated_pattern(out.cell_counts, bs)
         assert len(kept) == 2
         assert kept.intensity_declared == pytest.approx(0.02)
 
@@ -704,7 +756,7 @@ class TestAssociatedPattern:
             bs = sample_ppp(185.0, window, rng)
             users = sample_ppp(370.0, window, rng)
             out = associate(bs, users, RAYLEIGH, WeightLaw.nearest(), rng)
-            retained.append(len(associated_pattern(out, bs)) / len(bs))
+            retained.append(len(associated_pattern(out.cell_counts, bs)) / len(bs))
         retained = np.asarray(retained)
         expected = 1.0 - void_prob_nearest(370.0, 185.0)
         se = retained.std(ddof=1) / math.sqrt(len(retained))

@@ -5,7 +5,7 @@ renaming one of them must fail here rather than in a traced benchmark
 run.  Every name in ``voidnet.__all__`` must also resolve and have a
 caller in the package or the benchmark, the Monte-Carlo estimators must
 take ``(reps, window, seed)`` in that order, and importing the CLI must
-stay free of the process-pool machinery.
+stay free of the process-pool machinery and of ``scipy.stats``.
 """
 
 import ast
@@ -102,11 +102,13 @@ def test_estimators_take_reps_window_seed(estimator):
 
 def test_cli_import_loads_no_pool():
     # run_reps runs replications on threads, so neither CLI start-up nor
-    # any run loads the process-pool machinery.  A fresh interpreter: other
-    # tests in this one may have loaded it.
+    # any run loads the process-pool machinery.  Nor does CLI start-up pay
+    # for scipy.stats: csr_test takes its chi-square tails from
+    # scipy.special.  A fresh interpreter: other tests in this one may have
+    # loaded them.
     src = Path(voidnet.__file__).resolve().parents[1]
-    code = ("import sys, voidnet.cli; "
-            "print(sorted(m for m in ('multiprocessing', 'multiprocessing.pool') if m in sys.modules))")
+    code = ("import sys, voidnet.cli; print(sorted(m for m in "
+            "('multiprocessing', 'multiprocessing.pool', 'scipy.stats') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          cwd=src, timeout=120)
     assert out.stdout.strip() == "[]"
