@@ -76,10 +76,10 @@ def pooled_fraction(numerators, denominators, squares=None) -> tuple[float, floa
     can do no better than independent ones, so
     n_eff <= total * p_hat (1 - p_hat) / s^2 with s^2 = sum(w^2) / total
     - p_hat^2.  ``squares`` holds the per-replication sums of w^2.  Left
-    out, the cells are taken as 0/1 indicators, for which s^2 =
-    p_hat (1 - p_hat) and the cap is the cell count.  Weights strictly
-    inside (0, 1), such as the thinned void weights (1 - p)^K, spread
-    less than that, so their cap rises above the cell count.
+    out, the cells are taken as 0/1 indicators, each its own square, for
+    which s^2 = p_hat (1 - p_hat) and the cap is the cell count.  Weights
+    strictly inside (0, 1), such as the thinned void weights (1 - p)^K,
+    spread less than that, so their cap rises above the cell count.
 
     Returns ``(p_hat, ci_low, ci_high)``.
     """
@@ -99,13 +99,14 @@ def pooled_fraction(numerators, denominators, squares=None) -> tuple[float, floa
         var = 0.0
     if var > 0.0:
         binomial = p_hat * (1.0 - p_hat)
+        # p_hat (1 - p_hat) - s^2 = sum(w - w^2) / total: exactly 0 for
+        # 0/1 cells, each its own square, so they keep the cell-count cap
+        # bit for bit.
+        squares = v if squares is None else squares
+        cell_var = binomial - (v.sum() - float(np.sum(squares))) / total
         cap = total
-        if squares is not None:
-            # p_hat (1 - p_hat) - s^2 = sum(w - w^2) / total: exactly 0 for
-            # 0/1 cells, so they keep the cell-count cap bit for bit.
-            cell_var = binomial - (v.sum() - float(np.sum(squares))) / total
-            if cell_var < binomial:
-                cap = total * binomial / cell_var if cell_var > 0.0 else math.inf
+        if cell_var < binomial:
+            cap = total * binomial / cell_var if cell_var > 0.0 else math.inf
         n_eff = min(binomial / var, cap)
         n_eff = max(n_eff, 1.0)
     else:

@@ -32,8 +32,7 @@ dense criterion.  The y* that minimises P(D) is tabulated once per
 (channel, law) on a log-spaced grid of c, and each (user, ring)
 threshold is rounded down to that grid, which keeps D dominating.  A
 winner from a ring has its Y split into weight and shadowing by their
-normal law given Y, so ``serving_weight`` and ``serving_gain`` keep
-their laws.
+normal law given Y, so ``serving_gain`` keeps its law.
 """
 
 from __future__ import annotations
@@ -76,23 +75,18 @@ class AssociationOutcome:
     """Result of one association round.
 
     ``assignments[u]`` is the serving base-station index of user u, and
-    ``serving_weight[u]`` / ``serving_gain[u]`` are the W and H of that
-    serving link; ``cell_counts`` partitions the users over stations, so
-    its sum equals the user count and its zero entries are the void
-    stations.  ``near_tie[u]`` flags a runner-up criterion within
-    ``NEAR_TIE_RTOL`` of user u's best.
+    ``serving_distance[u]`` / ``serving_gain[u]`` are the length and the
+    gain H of that serving link; ``cell_counts[i]`` is the number of users
+    station i serves, so its zero entries are the void stations.
+    ``near_tie[u]`` flags a runner-up criterion within ``NEAR_TIE_RTOL``
+    of user u's best, an exact tie included.
     """
 
     assignments: np.ndarray
     serving_distance: np.ndarray
-    serving_weight: np.ndarray
     serving_gain: np.ndarray
     cell_counts: np.ndarray
     near_tie: np.ndarray
-
-    def __post_init__(self) -> None:
-        if int(self.cell_counts.sum()) != len(self.assignments):
-            raise ValueError("cell counts do not partition the user set")
 
     @property
     def near_tie_fraction(self) -> float:
@@ -112,7 +106,7 @@ def associate(
     Ties break toward the lowest station index, except under the nearest
     law.  Its gains cancel out: the assignment is a periodic nearest-station
     query, which sends an exact tie (probability zero in PPP draws) to any
-    tied station, and the only draws are the serving-link gains (W = 1/H).
+    tied station, and the only draws are the serving-link gains.
     Under the unit and log-normal laws the near-block links are drawn
     exactly and the far rings thinned (see the module docstring), in a fixed
     draw order for reproducibility: the near-block weights (log-normal law
@@ -129,22 +123,22 @@ def associate(
     if law.kind == NEAREST:
         # Gains cancel out of the nearest criterion, so assignment is a
         # plain (periodic) nearest-neighbour query.  Without a second
-        # station its distance reads inf, so no user is a near tie.
+        # station its distance reads inf, so no user is a near tie; a user
+        # on two coincident stations (ratio 0/0) is an exact tie.
         dd, ii = cKDTree(bs.points, boxsize=bs.window.side).query(users.points, k=2)
         assignments, serving_distance = ii[:, 0], dd[:, 0]
         serving_gain = sample_gain(cp, rng, size=len(users))
-        with np.errstate(divide="ignore"):
-            serving_weight = 1.0 / serving_gain
-        near_tie = (serving_distance / dd[:, 1]) ** cp.alpha > 1.0 - NEAR_TIE_RTOL
+        ratio = np.divide(serving_distance, dd[:, 1], out=np.ones_like(serving_distance),
+                          where=dd[:, 1] > 0)
+        near_tie = ratio ** cp.alpha > 1.0 - NEAR_TIE_RTOL
     else:
-        (assignments, serving_distance, serving_weight, serving_gain,
-         near_tie) = _thinned_association(bs, users, cp, law, rng)
+        assignments, serving_distance, serving_gain, near_tie = _thinned_association(
+            bs, users, cp, law, rng)
 
     cell_counts = np.bincount(assignments, minlength=n_b)
     return AssociationOutcome(
         assignments=assignments,
         serving_distance=serving_distance,
-        serving_weight=serving_weight,
         serving_gain=serving_gain,
         cell_counts=cell_counts,
         near_tie=near_tie,
@@ -370,8 +364,8 @@ class _CellGrid:
 def _thinned_association(bs, users, cp, law, rng):
     """The unit and log-normal laws' association (see :func:`associate`).
 
-    Returns (assignments, serving distance, serving weight, serving gain,
-    near tie), one entry per user.
+    Returns (assignments, serving distance, serving gain, near tie), one
+    entry per user.
     """
     n_b, n_u = len(bs), len(users)
     grid = _CellGrid(bs)
@@ -445,10 +439,9 @@ def _thinned_association(bs, users, cp, law, rng):
     runner_up = np.where(far, np.maximum(best, cand_second), np.maximum(second, cand_best))
     assignments = np.where(far, cand_best_station, best_station)
 
-    serving_distance, serving_weight, serving_gain = np.empty(n_u), np.empty(n_u), np.empty(n_u)
-    link = best_link[near]
+    serving_distance, serving_gain = np.empty(n_u), np.empty(n_u)
     serving_distance[near] = np.hypot(*deltas(user_x[near], user_y[near], best_station[near]))
-    serving_weight[near], serving_gain[near] = weights[link], gains[link]
+    serving_gain[near] = gains[best_link[near]]
     won = cand_top[far]
     ln_x = ln_y[won]
     if law.kind == LOGNORMAL and sigma > 0:
@@ -459,11 +452,12 @@ def _thinned_association(bs, users, cp, law, rng):
     elif law.kind == LOGNORMAL:
         ln_x = np.full(len(won), cp.mu)
     serving_distance[far] = np.hypot(cand_dx[won], cand_dy[won])
-    serving_weight[far] = np.exp(ln_y[won] - ln_x)
     serving_gain[far] = np.exp(ln_x) * gamma[won] / m
-    with np.errstate(invalid="ignore"):  # a user on a station: x / inf is nan or 0, no tie
-        near_tie = runner_up / top > 1.0 - NEAR_TIE_RTOL
-    return assignments, serving_distance, serving_weight, serving_gain, near_tie
+    # A user on one station reads x / inf: 0 (no tie) or, on two coincident
+    # stations, nan, which the equality counts as the exact tie it is.
+    with np.errstate(invalid="ignore"):
+        near_tie = (runner_up / top > 1.0 - NEAR_TIE_RTOL) | (runner_up == top)
+    return assignments, serving_distance, serving_gain, near_tie
 
 
 def _station_counts(bs, users, cp, law, rng) -> np.ndarray:
@@ -478,16 +472,9 @@ def _station_counts(bs, users, cp, law, rng) -> np.ndarray:
 def associated_pattern(cell_counts: np.ndarray, bs: PointPattern) -> PointPattern:
     """Sub-pattern of base stations that serve at least one user.
 
-    ``cell_counts`` as :func:`associate` reports them.  Declared intensity
-    is the original intensity thinned by the realized non-void fraction.
+    ``cell_counts`` as :func:`associate` reports them.
     """
-    keep = cell_counts > 0
-    retained = float(np.mean(keep)) if len(bs) else 0.0
-    return PointPattern(
-        points=bs.points[keep],
-        window=bs.window,
-        intensity_declared=bs.intensity_declared * retained,
-    )
+    return PointPattern(points=bs.points[cell_counts > 0], window=bs.window)
 
 
 def _replication_cells(

@@ -117,11 +117,7 @@ def sample_realization(
         bs = sample_ppp(lambda_b, window, rng)
 
     users = sample_ppp(lambda_u, window, rng)
-    with_typical = PointPattern(
-        points=np.vstack([center[None, :], users.points]),
-        window=window,
-        intensity_declared=lambda_u,
-    )
+    with_typical = PointPattern(points=np.vstack([center[None, :], users.points]), window=window)
     outcome = associate(bs, with_typical, cp, law, rng)
 
     serving = int(outcome.assignments[0])

@@ -547,7 +547,7 @@ def _conservation_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
     def suite(rng: np.random.Generator) -> dict:
         src = sample_ppp(lambda_b, source, rng)
         marks = sampler(rng, len(src))
-        mapped = map_pattern(src, marks, target=target, mean_inverse_square=mean_inv_sq)
+        mapped = map_pattern(src, marks, target=target)
         report = csr_test(mapped, config.grid)
         return {
             "n_mapped": len(mapped),

@@ -133,16 +133,11 @@ def run_reps(draw, seed: int, reps: int, done=None) -> list:
 
 @dataclass(frozen=True)
 class PointPattern:
-    """An immutable realization of a planar point process.
-
-    ``intensity_declared`` is the intensity the pattern is supposed to
-    have (points per km^2); the realized count fluctuates around
-    intensity * area.
-    """
+    """An immutable realization of a planar point process: read-only
+    (n, 2) points inside a window."""
 
     points: np.ndarray
     window: SimulationWindow
-    intensity_declared: float
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
@@ -154,15 +149,13 @@ class PointPattern:
             raise ValueError("points contain non-finite coordinates")
         if not self.window.contains(pts):
             raise ValueError("points must lie inside the window")
-        if not (np.isfinite(self.intensity_declared) and self.intensity_declared >= 0):
-            raise ValueError(f"declared intensity must be >= 0, got {self.intensity_declared}")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
     def __reduce__(self):
         # Rebuild through __post_init__ so an unpickled pattern keeps its
         # read-only points.
-        return type(self), (self.points, self.window, self.intensity_declared)
+        return type(self), (self.points, self.window)
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -178,15 +171,10 @@ def sample_ppp(intensity: float, window: SimulationWindow, rng: np.random.Genera
         raise ValueError(f"intensity must be >= 0, got {intensity}")
     n = int(rng.poisson(intensity * window.sampling_area()))
     pts = uniform_points(window, n, rng)
-    return PointPattern(points=pts, window=window, intensity_declared=float(intensity))
+    return PointPattern(points=pts, window=window)
 
 
-def map_pattern(
-    pattern: PointPattern,
-    marks: np.ndarray,
-    target: SimulationWindow,
-    mean_inverse_square: float,
-) -> PointPattern:
+def map_pattern(pattern: PointPattern, marks: np.ndarray, target: SimulationWindow) -> PointPattern:
     """Scale every point about the window centre by its own mark.
 
     Point i at displacement u from the source-window centre moves to
@@ -199,9 +187,6 @@ def map_pattern(
     into the target from outside it are negligible; marks below
     target_side / source_side lose coverage (see
     :func:`mark_expansion_factor`).
-
-    ``mean_inverse_square`` is E[1/T^2] of the mark law; the declared
-    output intensity is the source's times it.
     """
     t = np.atleast_1d(np.asarray(marks, dtype=float))
     if len(t) != len(pattern):
@@ -211,8 +196,7 @@ def map_pattern(
 
     mapped = target.side / 2.0 + t[:, None] * (pattern.points - pattern.window.side / 2.0)
     kept = mapped[np.all((mapped >= 0.0) & (mapped < target.side), axis=1)]
-    out_intensity = pattern.intensity_declared * mean_inverse_square
-    return PointPattern(points=kept, window=target, intensity_declared=out_intensity)
+    return PointPattern(points=kept, window=target)
 
 
 def mark_expansion_factor(mark_sampler, rng: np.random.Generator) -> float:

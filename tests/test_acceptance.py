@@ -238,8 +238,7 @@ def test_criterion_5_random_conservation_property():
         for s in range(suites):
             rng = rep_rng(501, s)
             src = sample_ppp(lam, source, rng)
-            mapped = map_pattern(src, sampler(rng, len(src)), target=target,
-                                 mean_inverse_square=mean_inv_sq)
+            mapped = map_pattern(src, sampler(rng, len(src)), target=target)
             counts[s] = len(mapped)
             rejected += csr_test(mapped, grid).p_value < 0.05
         rate = rejected / suites

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -44,9 +45,8 @@ RAYLEIGH = ChannelParams(m=1.0, mu=0.0, sigma2=0.0, alpha=4.0)
 WINDOW = SimulationWindow(side=10.0)
 
 
-def pattern(points, intensity=1.0, window=WINDOW):
-    return PointPattern(points=np.asarray(points, dtype=float), window=window,
-                        intensity_declared=intensity)
+def pattern(points, window=WINDOW):
+    return PointPattern(points=np.asarray(points, dtype=float), window=window)
 
 
 class TestAssociate:
@@ -65,7 +65,7 @@ class TestAssociate:
         assert out.serving_distance[0] == pytest.approx(1.5)
 
     def test_empty_station_pattern_rejected(self):
-        bs = pattern(np.zeros((0, 2)), intensity=0.0)
+        bs = pattern(np.zeros((0, 2)))
         users = pattern([[1.0, 1.0]])
         with pytest.raises(ValueError):
             associate(bs, users, RAYLEIGH, WeightLaw.nearest(), np.random.default_rng(3))
@@ -94,27 +94,7 @@ class TestAssociate:
         users = sample_ppp(5.0, WINDOW, rng1)
         out_a = associate(bs, users, RAYLEIGH, WeightLaw.lognormal(0.0, 0.5), rep_rng(7, 0))
         out_b = associate(bs, users, RAYLEIGH, WeightLaw.lognormal(2.0, 0.5), rep_rng(7, 0))
-        assert not np.allclose(out_a.serving_weight, out_b.serving_weight)
-        assert np.allclose(out_b.serving_weight, math.exp(2.0) * out_a.serving_weight)
         assert np.array_equal(out_a.assignments, out_b.assignments)
-
-    def test_lognormal_weights_drawn_per_link(self):
-        # users of one station must not share a single station weight
-        rng = rep_rng(14, 0)
-        bs = sample_ppp(1.0, WINDOW, rng)
-        users = sample_ppp(8.0, WINDOW, rng)
-        out = associate(bs, users, RAYLEIGH, WeightLaw.lognormal(0.0, 1.0), rng)
-        busiest = int(np.argmax(out.cell_counts))
-        weights = out.serving_weight[out.assignments == busiest]
-        assert len(weights) >= 2
-        assert len(np.unique(weights)) == len(weights)
-
-    def test_nearest_serving_weight_cancels_gain(self):
-        rng = rep_rng(15, 0)
-        bs = sample_ppp(2.0, WINDOW, rng)
-        users = sample_ppp(4.0, WINDOW, rng)
-        out = associate(bs, users, RAYLEIGH, WeightLaw.nearest(), rng)
-        assert np.allclose(out.serving_weight * out.serving_gain, 1.0)
 
     def test_coincident_user_and_station(self):
         bs = pattern([[5.0, 5.0], [1.0, 1.0]])
@@ -127,7 +107,7 @@ class TestAssociate:
 def dense_criterion(bs, users, cp, weights, gains):
     """The criterion over full user-by-station matrices of drawn weights
     and gains, runner-up by ``np.partition``: (assignments, serving
-    distance, serving weight, serving gain, near tie), one entry per user."""
+    distance, serving gain, near tie), one entry per user."""
     n_u, n_b = len(users), len(bs)
     dist = pairwise_distances(users.points, bs.points, bs.window)
     with np.errstate(divide="ignore"):
@@ -138,8 +118,7 @@ def dense_criterion(bs, users, cp, weights, gains):
     if n_u and n_b >= 2:
         second = np.partition(criterion, n_b - 2, axis=1)[:, n_b - 2]
         near_tie = second / criterion[rows, assignments] > 1.0 - NEAR_TIE_RTOL
-    return (assignments, dist[rows, assignments], weights[rows, assignments],
-            gains[rows, assignments], near_tie)
+    return assignments, dist[rows, assignments], gains[rows, assignments], near_tie
 
 
 def reference_associate(bs, users, cp, law, rng):
@@ -183,11 +162,9 @@ class TestAssociateReference:
         weights, gains = np.empty((n_u, n_b)), np.empty((n_u, n_b))
         weights[rows, order] = law.sample_weights((n_u, n_b), draws)
         gains[rows, order] = sample_gain(SHADOWED, draws, size=(n_u, n_b))
-        assignments, distance, weight, gain, near_tie = dense_criterion(
-            bs, users, SHADOWED, weights, gains)
+        assignments, distance, gain, near_tie = dense_criterion(bs, users, SHADOWED, weights, gains)
 
         assert np.array_equal(out.assignments, assignments)
-        assert np.array_equal(out.serving_weight, weight)
         assert np.array_equal(out.serving_gain, gain)
         assert np.array_equal(out.near_tie, near_tie)
         # hypot against the square root of the summed squares: one ulp apart.
@@ -208,19 +185,17 @@ class TestAssociateLaw:
 
     @staticmethod
     def runs(kernel, bs, users, cp, law, seeds):
-        winners, distance, gain, weight, ties = [], [], [], [], 0.0
+        winners, distance, gain, ties = [], [], [], 0.0
         for seed in seeds:
             out = kernel(bs, users, cp, law, np.random.default_rng(seed))
             if isinstance(out, AssociationOutcome):
-                out = (out.assignments, out.serving_distance, out.serving_weight,
-                       out.serving_gain, out.near_tie_fraction)
+                out = (out.assignments, out.serving_distance, out.serving_gain,
+                       out.near_tie_fraction)
             winners.append(out[0])
             distance.append(out[1])
-            weight.append(out[2])
-            gain.append(out[3])
-            ties += out[4] * len(users)
-        return (np.array(winners), np.concatenate(distance), np.concatenate(gain),
-                np.concatenate(weight), ties)
+            gain.append(out[2])
+            ties += out[3] * len(users)
+        return np.array(winners), np.concatenate(distance), np.concatenate(gain), ties
 
     @pytest.mark.parametrize("cp,law", [
         (SHADOWED, WeightLaw.unit()),
@@ -254,15 +229,15 @@ class TestAssociateLaw:
                 dof += result.dof
         assert dof > 0
         assert stats.chi2.sf(chi2, dof) > 1e-3, (chi2, dof)
-        # Serving distance, gain and weight.  The two kernels round a
-        # distance differently in the last bit, so distances compare at 1e-9.
+        # Serving distance and gain.  The two kernels round a distance
+        # differently in the last bit, so distances compare at 1e-9.
         for name, a, b in (("distance", np.round(sparse[1], 9), np.round(dense[1], 9)),
-                           ("gain", sparse[2], dense[2]), ("weight", sparse[3], dense[3])):
+                           ("gain", sparse[2], dense[2])):
             assert stats.ks_2samp(a, b).pvalue > 1e-3, name
         # Near-tie rate: two binomial proportions over the same user count.
         n = self.SEEDS * len(users)
-        p = (sparse[4] + dense[4]) / (2 * n)
-        assert abs(sparse[4] - dense[4]) / n <= 3.0 * math.sqrt(2.0 * p * (1.0 - p) / n) + 1e-12
+        p = (sparse[3] + dense[3]) / (2 * n)
+        assert abs(sparse[3] - dense[3]) / n <= 3.0 * math.sqrt(2.0 * p * (1.0 - p) / n) + 1e-12
 
     def test_reproducible_fresh_outputs(self):
         rng = np.random.default_rng(8)
@@ -271,12 +246,9 @@ class TestAssociateLaw:
         law = WeightLaw.unit()
         first = associate(bs, users, SHADOWED, law, np.random.default_rng(3))
         again = associate(bs, users, SHADOWED, law, np.random.default_rng(3))
-        for field in ("assignments", "serving_distance", "serving_weight", "serving_gain",
-                      "near_tie"):
+        for field in ("assignments", "serving_distance", "serving_gain", "near_tie"):
             assert np.array_equal(getattr(first, field), getattr(again, field)), field
         assert first.assignments.dtype == np.intp
-        assert first.serving_weight.flags.writeable  # a fresh array, not the ones view
-        assert np.all(first.serving_weight == 1.0)
         assert 0.0 < first.near_tie_fraction < 1.0
 
 
@@ -515,16 +487,35 @@ class TestStationCounts:
         points[tied] = points[7]
         bs, law = pattern(points), WeightLaw.nearest()
         users = pattern(np.vstack([points[7], points[[12]], rng.uniform(0.0, 10.0, (30, 2))]))
-        with np.errstate(invalid="ignore"):  # user 0's near-tie distance ratio is 0/0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # user 0's distance ratio 0/0 must not warn
             out = associate(bs, users, SHADOWED, law, np.random.default_rng(5))
-        assert out.assignments[0] in tied and out.serving_distance[0] == 0.0
+        assert out.assignments[0] in tied and out.serving_distance[0] == 0.0 and out.near_tie[0]
         assert out.assignments[1] == 12 and out.serving_distance[1] == 0.0
+        assert not out.near_tie[1]
         on_station = _station_counts(bs, pattern(points[[7]]), SHADOWED, law,
                                      np.random.default_rng(5))
         assert on_station[tied].sum() == 1 and on_station.sum() == 1
         counts = _station_counts(bs, users, SHADOWED, law, np.random.default_rng(5))
         assert counts[tied].sum() == out.cell_counts[tied].sum()
         assert np.array_equal(np.delete(counts, tied), np.delete(out.cell_counts, tied))
+
+    @pytest.mark.parametrize("law", [WeightLaw.unit(), WeightLaw.lognormal(0.0, 4.0)],
+                             ids=["unit", "lognormal"])
+    def test_user_on_coincident_stations_is_an_exact_tie(self, law):
+        # Both criteria read inf: the lowest index serves, and inf / inf
+        # counts as the exact tie it is, without a warning.
+        rng = np.random.default_rng(4)
+        points = rng.uniform(0.0, 10.0, (150, 2))
+        tied = [7, 40, 90]
+        points[tied] = points[7]
+        users = pattern(np.vstack([points[7], points[[12]], rng.uniform(0.0, 10.0, (30, 2))]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = associate(pattern(points), users, SHADOWED, law, np.random.default_rng(5))
+        assert out.assignments[0] == 7 and out.serving_distance[0] == 0.0 and out.near_tie[0]
+        assert out.assignments[1] == 12 and out.serving_distance[1] == 0.0
+        assert not out.near_tie[1]
 
 
 class TestVoidProbabilityMc:
@@ -741,12 +732,11 @@ class TestCellCountPmf:
 
 class TestAssociatedPattern:
     def test_no_voids_keeps_everything(self):
-        bs = pattern([[2.0, 2.0], [8.0, 8.0]], intensity=0.02)
+        bs = pattern([[2.0, 2.0], [8.0, 8.0]])
         users = sample_ppp(2.0, WINDOW, np.random.default_rng(11))
         out = associate(bs, users, RAYLEIGH, WeightLaw.nearest(), np.random.default_rng(12))
         kept = associated_pattern(out.cell_counts, bs)
         assert len(kept) == 2
-        assert kept.intensity_declared == pytest.approx(0.02)
 
     def test_retained_fraction_matches_formula(self):
         window = SimulationWindow(side=1.645)

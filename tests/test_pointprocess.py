@@ -55,33 +55,30 @@ class TestSamplePpp:
 
     def test_points_outside_window_rejected(self):
         with pytest.raises(ValueError):
-            PointPattern(points=np.array([[1.5, 0.5]]), window=UNIT_WINDOW, intensity_declared=1.0)
+            PointPattern(points=np.array([[1.5, 0.5]]), window=UNIT_WINDOW)
 
     def test_unpickled_pattern_stays_read_only(self):
         p = sample_ppp(50.0, UNIT_WINDOW, np.random.default_rng(1))
         q = pickle.loads(pickle.dumps(p))
         assert not q.points.flags.writeable
         assert np.array_equal(q.points, p.points)
-        assert (q.window, q.intensity_declared) == (p.window, p.intensity_declared)
+        assert q.window == p.window
 
 
 class TestMapPattern:
     def test_unit_marks_identity(self):
         p = sample_ppp(200.0, UNIT_WINDOW, np.random.default_rng(2))
-        mapped = map_pattern(p, np.ones(len(p)), UNIT_WINDOW, 1.0)
+        mapped = map_pattern(p, np.ones(len(p)), UNIT_WINDOW)
         assert np.array_equal(mapped.points, p.points)
-        assert mapped.intensity_declared == pytest.approx(p.intensity_declared)
 
     def test_scaling_mark_objects_accepted(self):
-        p = PointPattern(points=np.array([[0.25, 0.25], [0.75, 0.75]]),
-                         window=UNIT_WINDOW, intensity_declared=2.0)
-        mapped = map_pattern(p, np.array([1.0, 1.0]), UNIT_WINDOW, 1.0)
+        p = PointPattern(points=np.array([[0.25, 0.25], [0.75, 0.75]]), window=UNIT_WINDOW)
+        mapped = map_pattern(p, np.array([1.0, 1.0]), UNIT_WINDOW)
         assert np.array_equal(mapped.points, p.points)
 
     def test_deterministic_two_declares_quarter_intensity(self):
         p = sample_ppp(1.0, SimulationWindow(side=20.0), np.random.default_rng(3))
-        mapped = map_pattern(p, np.full(len(p), 2.0), p.window, 0.25)
-        assert mapped.intensity_declared == pytest.approx(0.25)
+        mapped = map_pattern(p, np.full(len(p), 2.0), p.window)
         # only the central 10 x 10 square stays inside once doubled about the centre
         central = p.points[np.all((p.points >= 5.0) & (p.points < 15.0), axis=1)]
         assert np.allclose(mapped.points, 10.0 + 2.0 * (central - 10.0))
@@ -99,8 +96,7 @@ class TestMapPattern:
         for r in range(reps):
             rng = rep_rng(13, r)
             src = sample_ppp(lam, source, rng)
-            mapped = map_pattern(src, sampler(rng, len(src)), target=target,
-                                 mean_inverse_square=mean_inv_sq)
+            mapped = map_pattern(src, sampler(rng, len(src)), target=target)
             counts[r] = len(mapped)
         expected = lam * mean_inv_sq * target.sampling_area()
         se = counts.std(ddof=1) / np.sqrt(reps)
@@ -109,23 +105,23 @@ class TestMapPattern:
     def test_mark_count_mismatch_rejected(self):
         p = sample_ppp(100.0, UNIT_WINDOW, np.random.default_rng(4))
         with pytest.raises(ValueError):
-            map_pattern(p, np.ones(len(p) + 1), UNIT_WINDOW, 1.0)
+            map_pattern(p, np.ones(len(p) + 1), UNIT_WINDOW)
 
     def test_non_positive_marks_rejected(self):
         p = sample_ppp(100.0, UNIT_WINDOW, np.random.default_rng(5))
         marks = np.ones(len(p))
         marks[0] = 0.0
         with pytest.raises(ValueError):
-            map_pattern(p, marks, UNIT_WINDOW, 1.0)
+            map_pattern(p, marks, UNIT_WINDOW)
 
 
 class TestNearestDistance:
     def test_point_at_origin(self):
-        p = PointPattern(points=np.array([[0.0, 0.0]]), window=UNIT_WINDOW, intensity_declared=1.0)
+        p = PointPattern(points=np.array([[0.0, 0.0]]), window=UNIT_WINDOW)
         assert nearest_distance((0.0, 0.0), p) == 0.0
 
     def test_empty_pattern_rejected(self):
-        p = PointPattern(points=np.zeros((0, 2)), window=UNIT_WINDOW, intensity_declared=0.0)
+        p = PointPattern(points=np.zeros((0, 2)), window=UNIT_WINDOW)
         with pytest.raises(ValueError):
             nearest_distance((0.5, 0.5), p)
 
@@ -155,8 +151,7 @@ class TestNearestDistance:
         for r in range(reps):
             rng = rep_rng(15, r)
             src = sample_ppp(lam, source, rng)
-            mapped = map_pattern(src, sampler(rng, len(src)), target=target,
-                                 mean_inverse_square=mean_inv_sq)
+            mapped = map_pattern(src, sampler(rng, len(src)), target=target)
             vals[r] = nearest_distance(center, mapped)
         lam_out = lam * mean_inv_sq
         res = stats.kstest(vals, lambda x: 1.0 - np.exp(-np.pi * lam_out * x**2))
@@ -190,8 +185,7 @@ class TestCsrTest:
         # a perfect lattice is maximally underdispersed
         grid = np.linspace(0.025, 0.975, 20)
         xx, yy = np.meshgrid(grid, grid)
-        pattern = PointPattern(points=np.column_stack([xx.ravel(), yy.ravel()]),
-                               window=UNIT_WINDOW, intensity_declared=400.0)
+        pattern = PointPattern(points=np.column_stack([xx.ravel(), yy.ravel()]), window=UNIT_WINDOW)
         assert csr_test(pattern, 5).p_value < 1e-6
 
     def test_clustered_rejected(self):
@@ -204,7 +198,7 @@ class TestCsrTest:
                 continue
             idx = rng.integers(0, len(parents), size=200)
             pts = UNIT_WINDOW.wrap(parents[idx] + rng.normal(0.0, 0.01, size=(200, 2)))
-            pattern = PointPattern(points=pts, window=UNIT_WINDOW, intensity_declared=200.0)
+            pattern = PointPattern(points=pts, window=UNIT_WINDOW)
             rejections += csr_test(pattern, 5).p_value < 0.01
         assert rejections >= int(0.95 * suites)
 
@@ -223,8 +217,7 @@ class TestCsrTest:
         edges = np.linspace(0.0, 1.0, 4)
         corners = np.array(np.meshgrid(edges[:3], edges[:3])).reshape(2, -1).T
         offsets = np.array([[0.0, 0.0], [0.1, 0.1], [0.2, 0.1], [0.1, 0.2], [0.2, 0.2], [0.3, 0.05]])
-        even = PointPattern(points=(corners[:, None, :] + offsets).reshape(-1, 2),
-                            window=UNIT_WINDOW, intensity_declared=54.0)
+        even = PointPattern(points=(corners[:, None, :] + offsets).reshape(-1, 2), window=UNIT_WINDOW)
         assert csr_test(even, 3).statistic == 0.0
 
 

@@ -22,9 +22,8 @@ UNIT = SimulationWindow(side=1.0)
 RAYLEIGH = ChannelParams(m=1.0, mu=0.0, sigma2=0.0, alpha=4.0)
 
 
-def pattern(points, intensity=1.0, window=UNIT):
-    return PointPattern(points=np.asarray(points, dtype=float), window=window,
-                        intensity_declared=intensity)
+def pattern(points, window=UNIT):
+    return PointPattern(points=np.asarray(points, dtype=float), window=window)
 
 
 def reference_k(p: PointPattern, radii) -> np.ndarray:
@@ -111,7 +110,7 @@ class TestRipleyK:
     def test_translation_invariance(self):
         p = sample_ppp(150.0, UNIT, np.random.default_rng(23))
         radii = np.array([0.05, 0.1, 0.2])
-        shifted = pattern(UNIT.wrap(p.points + np.array([0.37, 0.81])), p.intensity_declared)
+        shifted = pattern(UNIT.wrap(p.points + np.array([0.37, 0.81])))
         assert np.allclose(ripley_k(p, radii).k_hat, ripley_k(shifted, radii).k_hat)
 
     def test_too_few_points_rejected(self):

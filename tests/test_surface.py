@@ -3,12 +3,15 @@
 ``bench/spans.py`` names the functions its tracer wraps; deleting or
 renaming one of them must fail here rather than in a traced benchmark
 run.  Every name in ``voidnet.__all__`` must also resolve and have a
-caller in the package or the benchmark, the Monte-Carlo estimators must
-take ``(reps, window, seed)`` in that order, and importing the CLI must
-stay free of the process-pool machinery and of ``scipy.stats``.
+caller in the package or the benchmark, every field of an exported
+dataclass must be read there outside its own class, the Monte-Carlo
+estimators must take ``(reps, window, seed)`` in that order, and
+importing the CLI must stay free of the process-pool machinery and of
+``scipy.stats``.
 """
 
 import ast
+import dataclasses
 import importlib.util
 import inspect
 import re
@@ -66,6 +69,13 @@ def test_all_names_resolve():
     assert missing == []
 
 
+def _reader_sources() -> list[Path]:
+    """The package's modules and the benchmark's.  The package's own
+    re-exports in __init__ are not callers or readers."""
+    package = Path(voidnet.__file__).parent
+    return [p for p in package.glob("*.py") if p.name != "__init__.py"] + sorted(BENCH.glob("*.py"))
+
+
 def _referenced_names(path: Path) -> set[str]:
     """Names a module uses: loaded names, attributes, and dotted strings
     such as the ``"WeightLaw.sample_weights"`` targets of the bench tracer.
@@ -83,12 +93,42 @@ def _referenced_names(path: Path) -> set[str]:
 
 
 def test_every_public_name_has_a_caller():
-    # The package's own re-exports in __init__ are not callers.
-    package = Path(voidnet.__file__).parent
-    sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
-    used = set().union(*map(_referenced_names, sources + sorted(BENCH.glob("*.py"))))
+    used = set().union(*map(_referenced_names, _reader_sources()))
     uncalled = [name for name in voidnet.__all__ if name not in used]
     assert sorted(uncalled) == sorted(TEST_ONLY_NAMES)
+
+
+def _attributes_read(path: Path) -> list[tuple[str, frozenset[str]]]:
+    """Every attribute a module reads (``x.name``), with the names of the
+    classes whose bodies enclose the read."""
+    reads = []
+
+    def visit(node, classes):
+        if isinstance(node, ast.ClassDef):
+            classes = classes | {node.name}
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.append((node.attr, classes))
+        for child in ast.iter_child_nodes(node):
+            visit(child, classes)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), frozenset())
+    return reads
+
+
+def test_every_exported_dataclass_field_is_read():
+    # A field that only its own methods and the tests read is a value no
+    # run uses.
+    reads = [read for path in _reader_sources() for read in _attributes_read(path)]
+    unread = []
+    for name in voidnet.__all__:
+        cls = getattr(voidnet, name)
+        if not (isinstance(cls, type) and dataclasses.is_dataclass(cls)):
+            continue
+        for field in dataclasses.fields(cls):
+            if not any(attr == field.name and cls.__name__ not in classes
+                       for attr, classes in reads):
+                unread.append(f"{cls.__name__}.{field.name}")
+    assert unread == []
 
 
 @pytest.mark.parametrize("estimator", [void_probability_mc, void_probability_sweep,
