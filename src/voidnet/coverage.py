@@ -8,9 +8,11 @@ void-blind baseline), only stations that actually serve someone
 probability ("thinned-ppp").
 
 :func:`sir_samples` is the one sampler: a replication draws and
-associates one network at the largest ratio of a grid, and every ratio
-and model is read off that draw.  :func:`coverage_sweep` thresholds its
-SIRs at beta and adds Wilson intervals.
+associates one network at the largest ratio of a grid, and
+:func:`sample_realization` reads every ratio and model off that draw as
+one (ratio, model) SIR array, from interferer powers computed once.
+:func:`coverage_sweep` thresholds the SIRs at beta and adds Wilson
+intervals.
 """
 
 from __future__ import annotations
@@ -32,49 +34,16 @@ THINNED_PPP = "thinned-ppp"
 MODELS = (ALL_BS, VOID_AWARE, THINNED_PPP)
 
 
-@dataclass(frozen=True)
-class SirRealization:
-    """Everything needed to evaluate the typical user's SIR.
+def sir_at_typical_user(signal: float, powers: np.ndarray, transmitting: np.ndarray) -> np.ndarray:
+    """Signal-to-interference ratio for each row of a transmitting mask.
 
-    The serving gain is the one realized at association time; interferer
-    gains are fresh i.i.d. draws.  The two boolean masks select the
-    transmitting subset per model, so the void-aware interferer set is
-    always a subset of the all-bs one.
+    ``transmitting`` is a boolean (rows, interferers) mask over
+    ``powers``; a row that selects no interferer gives +inf (always
+    covered).
     """
-
-    alpha: float
-    serving_distance: float
-    serving_gain: float
-    interferer_distances: np.ndarray
-    interferer_gains: np.ndarray
-    interferer_nonvoid: np.ndarray
-    interferer_kept: np.ndarray
-
-
-def sir_at_typical_user(realization: SirRealization, model: str) -> float:
-    """Signal-to-interference ratio for one realization and model.
-
-    With no transmitting interferer the SIR is +inf (always covered).
-    """
-    if model == ALL_BS:
-        mask = np.ones(len(realization.interferer_distances), dtype=bool)
-    elif model == VOID_AWARE:
-        mask = realization.interferer_nonvoid
-    elif model == THINNED_PPP:
-        mask = realization.interferer_kept
-    else:
-        raise ValueError(f"unknown interference model {model!r}")
-
-    signal = realization.serving_gain * realization.serving_distance ** (-realization.alpha)
-    interference = float(
-        np.sum(
-            realization.interferer_gains[mask]
-            * realization.interferer_distances[mask] ** (-realization.alpha)
-        )
-    )
-    if interference == 0.0:
-        return math.inf
-    return signal / interference
+    interference = np.array([np.sum(powers[row]) for row in transmitting])
+    with np.errstate(divide="ignore"):
+        return signal / interference
 
 
 def thinning_keep_probability(lambda_b: float, lambda_u: float, cp: ChannelParams, law: WeightLaw) -> float:
@@ -92,20 +61,22 @@ def sample_realization(
     rng: np.random.Generator,
     keep_probs,
     retain=(1.0,),
-) -> list[tuple[SirRealization, float]]:
+    models: tuple[str, ...] = MODELS,
+) -> tuple[np.ndarray, np.ndarray]:
     """One network draw seen from the typical user at the window centre.
 
-    Returns one (realization, association near-tie fraction) pair per
-    user retention probability in ``retain``: other user u is kept at
-    retention p iff U_u < p, with one uniform U_u per user, which is an
-    independent p-thinning of the users; the typical user is always kept.
-    Every pair shares the stations, the association and the interferer
-    gains; only the non-void mask (stations serving a kept user), the
-    thinned-ppp mask (one shared uniform per interferer against
-    ``keep_probs[j]``) and the near-tie fraction (over kept users) differ.
-    At p = 1 every user is kept.  Draw order is fixed: stations, users,
-    association, fresh interferer gains, thinning uniforms, then the user
-    retention uniforms.
+    Returns ``(sir, tie)``: ``sir[j, k]`` is the typical user's SIR under
+    ``models[k]`` at user retention ``retain[j]``, and ``tie[j]`` the
+    association near-tie fraction over the users kept there.  Other user
+    u is kept at retention p iff U_u < p, with one uniform U_u per user,
+    which is an independent p-thinning of the users; the typical user is
+    always kept, and at p = 1 every user is.  Every row shares the
+    stations, the association, the serving signal and the interferer
+    powers, computed once; only the transmitting masks differ: all-bs
+    takes every other station, void-aware those serving a kept user, and
+    thinned-ppp those whose one shared uniform is below ``keep_probs[j]``.
+    Draw order is fixed: stations, users, association, fresh interferer
+    gains, thinning uniforms, then the user retention uniforms.
     """
     center = np.array([window.side / 2.0, window.side / 2.0])
     bs = sample_ppp(lambda_b, window, rng)
@@ -127,21 +98,17 @@ def sample_realization(
     thinning = rng.random(len(others))
     retention = np.concatenate(([0.0], rng.random(len(users))))
 
-    pairs = []
-    for keep_prob, p in zip(keep_probs, retain, strict=True):
-        kept_users = retention < p
-        cell_counts = np.bincount(outcome.assignments[kept_users], minlength=len(bs))
-        realization = SirRealization(
-            alpha=cp.alpha,
-            serving_distance=float(outcome.serving_distance[0]),
-            serving_gain=float(outcome.serving_gain[0]),
-            interferer_distances=other_dist,
-            interferer_gains=other_gains,
-            interferer_nonvoid=cell_counts[others] > 0,
-            interferer_kept=thinning < keep_prob,
-        )
-        pairs.append((realization, float(np.mean(outcome.near_tie[kept_users]))))
-    return pairs
+    signal = float(outcome.serving_gain[0]) * float(outcome.serving_distance[0]) ** (-cp.alpha)
+    powers = other_gains * other_dist ** (-cp.alpha)
+    kept = retention < np.asarray(retain)[:, None]
+    transmitting = {
+        ALL_BS: np.ones((len(kept), len(others)), dtype=bool),
+        VOID_AWARE: np.array([np.bincount(outcome.assignments[k], minlength=len(bs))[others] > 0
+                              for k in kept]),
+        THINNED_PPP: thinning < np.asarray(keep_probs)[:, None],
+    }
+    sir = np.column_stack([sir_at_typical_user(signal, powers, transmitting[m]) for m in models])
+    return sir, (kept & outcome.near_tie).sum(axis=1) / kept.sum(axis=1)
 
 
 def sir_samples(
@@ -158,28 +125,31 @@ def sir_samples(
 
     Each replication draws one network at r_top = max(ratio_grid),
     stations at lambda_u / r_top and users at lambda_u on ``window``, and
-    associates it once; ratio r keeps each user with probability r / r_top
-    (:func:`sample_realization`).  The SIR depends on the intensities only
+    associates it once; ratio r keeps each user with probability r / r_top.
+    :func:`sample_realization` returns the replication's SIRs as one
+    (ratio, model) array.  The SIR depends on the intensities only
     through their ratio, so that is the network at lambda_b = lambda_u / r.
     The models differ only in which interferers transmit, so on shared
     draws dominance comparisons are exact: the void-aware SIR is never
     below the all-bs SIR, which is the same at every ratio of a draw.
+    An unknown model raises ``ValueError`` before any draw.
     """
+    unknown = [m for m in models if m not in MODELS]
+    if unknown:
+        raise ValueError(f"unknown interference model {unknown[0]!r}")
     ratios = grid_ratios(ratio_grid)
     r_top = max(ratios)
     keep_probs = [thinning_keep_probability(lambda_u / r, lambda_u, cp, law) for r in ratios]
     retain = [r / r_top for r in ratios]
 
-    def draw(rng: np.random.Generator) -> list[tuple[list[float], float]]:
-        pairs = sample_realization(lambda_u / r_top, lambda_u, cp, law, window, rng, keep_probs, retain)
-        return [([sir_at_typical_user(real, m) for m in models], tie) for real, tie in pairs]
+    def draw(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        return sample_realization(lambda_u / r_top, lambda_u, cp, law, window, rng, keep_probs,
+                                  retain, models)
 
     results = run_reps(draw, seed, reps)
-    out = []
-    for j in range(len(ratios)):
-        sirs = np.array([rep[j][0] for rep in results])
-        out.append((dict(zip(models, sirs.T)), float(np.mean([rep[j][1] for rep in results]))))
-    return out
+    sirs = np.stack([sir for sir, _ in results], axis=1)
+    ties = np.stack([tie for _, tie in results], axis=1)
+    return [(dict(zip(models, sir.T)), float(np.mean(tie))) for sir, tie in zip(sirs, ties)]
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,14 @@ from .spatialstats import remark2_test
 
 MIN_EXPECTED_POINTS = 500.0
 
+# Most stations, and most users, one replication's window may expect.  At
+# 10^6 users the thinned kernel holds about 54 near links per user, about
+# 0.9 GB per drawing thread.
+MAX_WINDOW_POINTS = 1_000_000
+
+# Experiments that draw every replication on the window of _grid_window.
+_GRID_EXPERIMENTS = ("void-prob", "cell-pmf", "coverage", "remark2")
+
 # Assumed variance inflation of a pooled void fraction over the binomial
 # one, from the correlation of cells within a replication.
 DESIGN_EFFECT = 2.0
@@ -349,6 +357,14 @@ def validate(config: ExperimentConfig) -> list[str]:
                      f"got the grid {ratios}")
     if diags:
         return diags
+    # The largest ratio has the fewest stations, so it needs the largest window.
+    r_top, window = _grid_window(config, ratios)
+    stations = config.lambda_u / r_top * window.sampling_area()
+    users = config.lambda_u * window.sampling_area()
+    if config.experiment in _GRID_EXPERIMENTS and max(stations, users) > MAX_WINDOW_POINTS:
+        return [f"a replication's window (side {window.side} km at ratio {r_top}) expects "
+                f"{stations:.3g} stations and {users:.3g} users; at most "
+                f"{MAX_WINDOW_POINTS:,} of each can be drawn"]
 
     zd = zeta_dagger(cp, law)
     if math.isinf(zd):
@@ -357,8 +373,6 @@ def validate(config: ExperimentConfig) -> list[str]:
             f"m = {config.m}, 2/alpha = {2.0 / config.alpha:.4f}; "
             "closed-form overlays reduce to the lower bound"
         )
-    # The largest ratio has the fewest stations, so it needs the largest window.
-    r_top, window = _grid_window(config, ratios)
     needed = auto_side(config.lambda_u / r_top, config.lambda_u)
     if window.side < needed:
         diags.append(

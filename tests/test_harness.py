@@ -125,6 +125,20 @@ class TestValidate:
         assert fatal(validate(ExperimentConfig(experiment=experiment)))
         assert validate(ExperimentConfig(experiment=experiment, ratio_grid=(0.5,))) == []
 
+    @pytest.mark.parametrize("experiment, grid", [
+        ("void-prob", (1e-6,)), ("cell-pmf", (1e-6,)), ("remark2", (1e-6,)),
+        ("coverage", (0.5, 1e6)),
+    ])
+    def test_window_too_large_to_draw(self, experiment, grid):
+        # 5e8 stations, or 5e8 users, in one replication's window: refused, never drawn.
+        [diag] = validate(ExperimentConfig(experiment=experiment, ratio_grid=grid, reps=2))
+        assert "at most 1,000,000" in diag
+        assert fatal([diag])
+
+    def test_window_too_large_exits_before_any_draw(self, capsys):
+        assert cli_main(["void-prob", "--ratio-grid", "1e-9", "--reps", "2"]) == 2
+        assert "config error:" in capsys.readouterr().err
+
     def test_two_shadowing_specs_rejected(self):
         cfg = ExperimentConfig(experiment="formulas", sigma_db=8.0, sigma2_db=8.0)
         assert any("exactly one way" in d for d in validate(cfg))
