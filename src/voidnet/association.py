@@ -463,7 +463,7 @@ def _thinned_association(bs, users, cp, law, rng):
 def _station_counts(bs, users, cp, law, rng) -> np.ndarray:
     """``associate(...).cell_counts``; under the nearest law, one periodic
     nearest-station query that draws nothing from ``rng``."""
-    if law.kind != NEAREST:
+    if law.kind != NEAREST or not len(bs):
         return associate(bs, users, cp, law, rng).cell_counts
     _, nearest = cKDTree(bs.points, boxsize=bs.window.side).query(users.points, k=1)
     return np.bincount(nearest, minlength=len(bs))
@@ -487,8 +487,8 @@ def _replication_cells(
 ) -> np.ndarray:
     """Per-station user counts for one fresh replication.
 
-    An empty base-station draw (vanishingly unlikely at sane window
-    sizes) contributes no cells.
+    A draw with no station contributes no cells; a window that
+    ``harness.validate`` accepts makes one vanishingly unlikely.
     """
     bs = sample_ppp(lambda_b, window, rng)
     if len(bs) == 0:
@@ -667,9 +667,6 @@ def cell_count_pmf_mc(
     width = max(len(h) for h in hists)
     hist = np.array([np.pad(h, (0, width - len(h))) for h in hists], dtype=float)
     cells = hist.sum(axis=1)
-    total_cells = cells.sum()
-    if total_cells == 0:
-        raise RuntimeError("no cells simulated; window too small for lambda_b")
     n_values = np.arange(hist.shape[1])
     pmf, lo, hi = np.array([pooled_fraction(hist[:, n], cells) for n in n_values]).T
     return CellCountPmf(
@@ -677,6 +674,6 @@ def cell_count_pmf_mc(
         pmf=pmf,
         ci_low=lo,
         ci_high=hi,
-        mean=float((hist @ n_values).sum() / total_cells),
+        mean=float((hist @ n_values).sum() / cells.sum()),
         reps=len(hists),
     )

@@ -2,7 +2,8 @@
 
 One subcommand per experiment plus ``validate``.  Flags override values
 from an optional flat JSON config file; everything ends up echoed in the
-output metadata.  Exit status is 0 on success, 2 on configuration errors.
+output metadata.  Exit status is 0 on success, 2 on configuration errors,
+a window too small or too large to draw from among them.
 
 Examples
 --------

@@ -75,18 +75,12 @@ def sample_realization(
     powers, computed once; only the transmitting masks differ: all-bs
     takes every other station, void-aware those serving a kept user, and
     thinned-ppp those whose one shared uniform is below ``keep_probs[j]``.
-    Draw order is fixed: stations, users, association, fresh interferer
-    gains, thinning uniforms, then the user retention uniforms.
+    Draw order is fixed: stations (never redrawn; none raises ValueError),
+    users, association, fresh interferer gains, thinning uniforms, then
+    the user retention uniforms.
     """
     center = np.array([window.side / 2.0, window.side / 2.0])
     bs = sample_ppp(lambda_b, window, rng)
-    attempts = 0
-    while len(bs) == 0:
-        attempts += 1
-        if attempts > 100:
-            raise RuntimeError("cannot draw a non-empty base-station pattern")
-        bs = sample_ppp(lambda_b, window, rng)
-
     users = sample_ppp(lambda_u, window, rng)
     with_typical = PointPattern(points=np.vstack([center[None, :], users.points]), window=window)
     outcome = associate(bs, with_typical, cp, law, rng)

@@ -65,8 +65,15 @@ MIN_EXPECTED_POINTS = 500.0
 # 0.9 GB per drawing thread.
 MAX_WINDOW_POINTS = 1_000_000
 
+# Fewest stations (remark2: non-void ones) a replication's window may
+# expect.  A draw then holds none with probability e^-40 ~ 4e-18.
+MIN_WINDOW_STATIONS = 40.0
+
 # Experiments that draw every replication on the window of _grid_window.
 _GRID_EXPERIMENTS = ("void-prob", "cell-pmf", "coverage", "remark2")
+
+# bounds-check draws each set's user/station ratio uniformly from this range.
+BOUNDS_CHECK_RATIOS = (0.3, 6.0)
 
 # Assumed variance inflation of a pooled void fraction over the binomial
 # one, from the correlation of cells within a replication.
@@ -315,6 +322,9 @@ def validate(config: ExperimentConfig) -> list[str]:
     Builds what the run builds (channel, weight law, mark law, ratio grid)
     and reports each constructor's error, so no check a constructor makes
     is restated here.  Fields no object owns must be finite and > 0.
+    Every window a run draws must expect enough points to draw from and
+    at most ``MAX_WINDOW_POINTS`` (:func:`_window_counts`), so no draw
+    redraws or skips a window that holds too few.
     Diagnostics prefixed ``warning:`` are advisory cross-field checks, made
     only for a config with no other diagnostic; anything else blocks
     :func:`run` with a nonzero exit.
@@ -346,8 +356,9 @@ def validate(config: ExperimentConfig) -> list[str]:
         diags.append("n_envelope must be >= 39 for a 95% envelope")
     cp = _built(config.channel_params, diags)
     law = _built(config.weight_law, diags)
+    marks = None
     if cp is not None and law is not None:
-        _built(lambda: parse_mark_law(config.mark_law, cp, law), diags)
+        marks = _built(lambda: parse_mark_law(config.mark_law, cp, law), diags)
     # Without a grid the ratio is lambda_u / lambda_b, so it waits for both.
     ratios = None
     if config.ratio_grid is not None or not bad & {"lambda_u", "lambda_b"}:
@@ -357,16 +368,18 @@ def validate(config: ExperimentConfig) -> list[str]:
                      f"got the grid {ratios}")
     if diags:
         return diags
+    zd = zeta_dagger(cp, law)
+    for what, expected, least, most in _built(lambda: _window_counts(config, ratios, zd, marks),
+                                              diags) or ():
+        if expected > most:
+            diags.append(f"{what}: {expected:.3g} expected; at most {most:,} can be drawn")
+        elif expected < least:
+            diags.append(f"{what}: {expected:.3g} expected; at least {least:g} are needed")
+    if diags:
+        return diags
+
     # The largest ratio has the fewest stations, so it needs the largest window.
     r_top, window = _grid_window(config, ratios)
-    stations = config.lambda_u / r_top * window.sampling_area()
-    users = config.lambda_u * window.sampling_area()
-    if config.experiment in _GRID_EXPERIMENTS and max(stations, users) > MAX_WINDOW_POINTS:
-        return [f"a replication's window (side {window.side} km at ratio {r_top}) expects "
-                f"{stations:.3g} stations and {users:.3g} users; at most "
-                f"{MAX_WINDOW_POINTS:,} of each can be drawn"]
-
-    zd = zeta_dagger(cp, law)
     if math.isinf(zd):
         diags.append(
             f"warning: zeta-dagger divergent (m <= 2/alpha, or moments past the float range): "
@@ -405,17 +418,58 @@ def _grid_window(config: ExperimentConfig, ratios) -> tuple[float, SimulationWin
     return r_top, config.window_for(config.lambda_u / r_top, config.lambda_u)
 
 
+def _void_guess(config: ExperimentConfig, zd: float, ratio: float) -> float:
+    """Gamma-area void probability at ``ratio``, with shape rho = 3.5 *
+    zeta-dagger (3.5 where that is not finite)."""
+    rho = VORONOI_SHAPE * zd
+    return void_prob_rca(config.lambda_u, config.lambda_u / ratio,
+                         rho if math.isfinite(rho) else VORONOI_SHAPE)
+
+
 def _first_batch(config: ExperimentConfig, zd: float, r_top: float, window: SimulationWindow) -> int:
     """Replications in the first batch of an auto-rep void-prob or cell-pmf run.
 
-    :func:`suggested_reps` on the gamma-area void guess at r_top, with
-    shape rho = 3.5 * zeta-dagger (3.5 where that is not finite).
+    :func:`suggested_reps` on the :func:`_void_guess` at r_top.
     """
-    lambda_b_top = config.lambda_u / r_top
-    rho = VORONOI_SHAPE * zd
-    p_guess = void_prob_rca(config.lambda_u, lambda_b_top,
-                            rho if math.isfinite(rho) else VORONOI_SHAPE)
-    return suggested_reps(p_guess, lambda_b_top * window.sampling_area(), config.half_width)
+    stations = config.lambda_u / r_top * window.sampling_area()
+    return suggested_reps(_void_guess(config, zd, r_top), stations, config.half_width)
+
+
+def _window_counts(config: ExperimentConfig, ratios, zd: float, marks) -> list[tuple]:
+    """(what, expected count, least, most) for every window a run draws.
+
+    bounds-check's windows are bounded by those at the ends of
+    ``BOUNDS_CHECK_RATIOS``.  conservation-check needs ten mapped points
+    per quadrat, twice what :func:`voidnet.pointprocess.csr_test` asks.
+    """
+    if config.experiment == "conservation-check":
+        lambda_b, mapped, target, source, _ = _conservation_windows(config, *marks)
+        return [
+            (f"source points in the source window (side {source.side:.4g} km)",
+             lambda_b * source.sampling_area(), 0.0, MAX_WINDOW_POINTS),
+            (f"mapped points in the target window (side {target.side:.4g} km)",
+             mapped * target.sampling_area(), 10.0 * config.grid**2, math.inf),
+        ]
+    if config.experiment == "bounds-check":
+        drawn = BOUNDS_CHECK_RATIOS
+    elif config.experiment in _GRID_EXPERIMENTS:
+        drawn = (max(ratios),)
+    else:
+        return []
+    counts = []
+    for ratio in drawn:
+        window = config.window_for(config.lambda_u / ratio, config.lambda_u)
+        where = f"a replication's window (side {window.side} km at ratio {ratio})"
+        stations = config.lambda_u / ratio * window.sampling_area()
+        label, needed = "stations", stations
+        if config.experiment == "remark2":
+            label, needed = "non-void stations", stations * (1.0 - _void_guess(config, zd, ratio))
+        counts += [
+            (f"stations in {where}", stations, 0.0, MAX_WINDOW_POINTS),
+            (f"users in {where}", config.lambda_u * window.sampling_area(), 0.0, MAX_WINDOW_POINTS),
+            (f"{label} in {where}", needed, MIN_WINDOW_STATIONS, math.inf),
+        ]
+    return counts
 
 
 def _void_prob_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
@@ -499,7 +553,7 @@ def _bounds_check_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
         m = float(rng.uniform(2.0 / alpha + 0.2, 4.0))
         sigma2 = float(rng.uniform(0.0, 1.5))
         mu = float(rng.uniform(-0.5, 0.5))
-        ratio = float(rng.uniform(0.3, 6.0))
+        ratio = float(rng.uniform(*BOUNDS_CHECK_RATIOS))
         if law_kind == "nearest":
             law = WeightLaw.nearest()
         elif law_kind == "unit":
@@ -538,25 +592,33 @@ def _bounds_check_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
     return rows, {"sets": config.sets, "violations": violations}
 
 
+def _conservation_windows(config: ExperimentConfig, sampler, mean_inv_sq: float):
+    """(lambda_b, mapped intensity, target, source, expansion) of conservation-check.
+
+    The source window is the target widened by :func:`mark_expansion_factor`
+    on the marks of ``rep_rng(seed, 2**33)``.
+    """
+    lambda_b = config.lambda_b if config.lambda_b else 100.0
+    # About 40 mapped points per quadrat keeps the chi-square quadrat test
+    # well calibrated in both tails.
+    mapped = mapped_intensity(lambda_b, mean_inv_sq)
+    target_side = (
+        float(config.side)
+        if config.side != "auto"
+        else auto_side(mapped, mapped, min_expected=40.0 * config.grid**2)
+    )
+    target = SimulationWindow(side=target_side)
+    expansion = mark_expansion_factor(sampler, rep_rng(config.seed, 2**33))
+    return lambda_b, mapped, target, SimulationWindow(side=target.side * expansion), expansion
+
+
 def _conservation_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
     cp = config.channel_params()
     law = config.weight_law()
     sampler, mean_inv_sq = parse_mark_law(config.mark_law, cp, law)
-    lambda_b = config.lambda_b if config.lambda_b else 100.0
     suites = config.reps or 200
-
-    # About 40 mapped points per quadrat keeps the chi-square quadrat test
-    # well calibrated in both tails.
-    mapped_intensity_value = mapped_intensity(lambda_b, mean_inv_sq)
-    target_side = (
-        float(config.side)
-        if config.side != "auto"
-        else auto_side(mapped_intensity_value, mapped_intensity_value,
-                       min_expected=40.0 * config.grid**2)
-    )
-    target = SimulationWindow(side=target_side)
-    expansion = mark_expansion_factor(sampler, rep_rng(config.seed, 2**33))
-    source = SimulationWindow(side=target.side * expansion)
+    lambda_b, mapped_intensity_value, target, source, expansion = _conservation_windows(
+        config, sampler, mean_inv_sq)
 
     def suite(rng: np.random.Generator) -> dict:
         src = sample_ppp(lambda_b, source, rng)

@@ -100,6 +100,7 @@ def ppp_envelope(
     Takes the 2.5/97.5 percentiles over ``n_envelope`` fresh PPP
     realizations (about a 5% pointwise exit rate for a true PPP).  At
     least 39 realizations are required for a 95% envelope to make sense.
+    Each is a plain PPP, so one below ``MIN_POINTS`` raises ValueError.
     """
     if n_envelope < 39:
         raise ValueError("need at least 39 envelope simulations for a 95% envelope")
@@ -108,14 +109,7 @@ def ppp_envelope(
         raise ValueError("envelope radii must stay at or below side/4")
 
     def draw(rng: np.random.Generator) -> np.ndarray:
-        pattern = sample_ppp(intensity, window, rng)
-        attempts = 0
-        while len(pattern) < MIN_POINTS:
-            attempts += 1
-            if attempts > 100:
-                raise RuntimeError("intensity too low to form envelope patterns")
-            pattern = sample_ppp(intensity, window, rng)
-        return ripley_k(pattern, r).k_hat
+        return ripley_k(sample_ppp(intensity, window, rng), r).k_hat
 
     k_sims = np.array(run_reps(draw, seed, n_envelope))
     return np.percentile(k_sims, 2.5, axis=0), np.percentile(k_sims, 97.5, axis=0)
@@ -167,8 +161,6 @@ def remark2_test(
 
     def draw(rng: np.random.Generator) -> tuple[np.ndarray, int, int]:
         bs = sample_ppp(lambda_b, window, rng)
-        if len(bs) == 0:
-            raise RuntimeError("empty base-station draw; enlarge the window")
         users = sample_ppp(lambda_u, window, rng)
         kept = associated_pattern(_station_counts(bs, users, cp, law, rng), bs)
         if len(kept) < MIN_POINTS:

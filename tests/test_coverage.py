@@ -88,6 +88,12 @@ class TestSampleRealization:
         assert not transmitting.any()
         assert math.isinf(sir[0])
 
+    def test_empty_station_draw_raises(self):
+        # About 1e-9 expected stations: the one draw is empty and is not redrawn.
+        with pytest.raises(ValueError, match="at least one base station"):
+            sample_realization(1e-9, 50.0, RAYLEIGH, WeightLaw.nearest(),
+                               SimulationWindow(side=1.0), rep_rng(42, 0), keep_probs=(1.0,))
+
 
 class TestSirSamples:
     def test_replication_r_runs_on_rep_rng_stream_r(self):

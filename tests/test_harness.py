@@ -135,6 +135,25 @@ class TestValidate:
         assert "at most 1,000,000" in diag
         assert fatal([diag])
 
+    def test_bounds_check_window_too_large_to_draw(self):
+        # At ratio 0.3 a 1000 km side expects 1.2e9 stations: refused, never drawn.
+        diags = validate(ExperimentConfig(experiment="bounds-check", side=1000.0, reps=2))
+        assert any("at ratio 0.3" in d and "at most 1,000,000" in d for d in fatal(diags))
+
+    @pytest.mark.parametrize("experiment, grid, accepted, refused", [
+        ("void-prob", (2.0,), 0.5, 0.46), ("remark2", (0.5,), 0.39, 0.37),
+        ("bounds-check", (1.0,), 0.82, 0.8),
+    ])
+    def test_window_station_floor(self, experiment, grid, accepted, refused):
+        # Just over and just under 40 expected stations (remark2: non-void ones;
+        # bounds-check: at its largest ratio, 6).
+        def diags(side):
+            return fatal(validate(ExperimentConfig(experiment=experiment, ratio_grid=grid,
+                                                   side=side, reps=2)))
+        assert diags(accepted) == []
+        [diag] = diags(refused)
+        assert "at least 40 are needed" in diag
+
     def test_window_too_large_exits_before_any_draw(self, capsys):
         assert cli_main(["void-prob", "--ratio-grid", "1e-9", "--reps", "2"]) == 2
         assert "config error:" in capsys.readouterr().err
@@ -589,13 +608,24 @@ class TestCli:
         ["cell-pmf", "--reps", "2"],
         ["coverage", "--model", "bogus"],
         ["formulas", "--format", "xml"],
+        ["void-prob", "--ratio-grid", "2", "--reps", "2", "--side", "0.01"],
+        ["cell-pmf", "--ratio-grid", "2", "--reps", "2", "--side", "0.01"],
+        ["bounds-check", "--sets", "2", "--reps", "2", "--side", "0.01"],
+        ["remark2", "--ratio-grid", "2", "--reps", "2", "--side", "0.05", "--n-envelope", "39"],
+        ["coverage", "--ratio-grid", "2", "--reps", "2", "--side", "0.01"],
+        ["conservation-check", "--reps", "2", "--mark-law", "lognormal:0,50"],
+        ["conservation-check", "--reps", "2", "--side", "0.05"],
     ], ids=["remark2-n-envelope", "conservation-mark-law", "formulas-zero-ratio",
             "void-prob-negative-ratio", "void-prob-zero-half-width",
             "void-prob-negative-half-width", "void-prob-nan-half-width",
             "void-prob-negative-side", "void-prob-nan-side", "void-prob-inf-side",
             "formulas-no-users", "void-prob-no-users", "bounds-check-no-sets",
             "coverage-nan-beta", "cell-pmf-grid", "remark2-grid", "void-prob-negative-seed",
-            "cell-pmf-no-grid", "coverage-unknown-model", "formulas-unknown-format"])
+            "cell-pmf-no-grid", "coverage-unknown-model", "formulas-unknown-format",
+            "void-prob-window-without-stations", "cell-pmf-window-without-stations",
+            "bounds-check-window-without-stations", "remark2-window-without-stations",
+            "coverage-window-without-stations", "conservation-source-too-large",
+            "conservation-target-too-small"])
     def test_config_errors_exit_two(self, argv, tmp_path, capsys):
         assert cli_main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
         assert "config error:" in capsys.readouterr().err

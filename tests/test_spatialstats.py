@@ -225,12 +225,22 @@ class TestPppEnvelope:
         with pytest.raises(ValueError):
             ppp_envelope(200.0, UNIT, [0.3], n_envelope=99, seed=32)
 
+    def test_patterns_below_min_points_raise(self):
+        # Two expected points: an envelope pattern is a plain PPP, never redrawn up to ten.
+        with pytest.raises(ValueError, match="need at least 10"):
+            ppp_envelope(2.0, UNIT, [0.1], n_envelope=39, seed=37)
+
 
 class TestRemark2:
     def test_no_users_raises(self):
         window = SimulationWindow(side=2.5)
         with pytest.raises(ValueError):
             remark2_test(100.0, 0.0, RAYLEIGH, WeightLaw.nearest(), 2, window, seed=34,
+                         n_envelope=39)
+
+    def test_empty_station_draw_raises(self):
+        with pytest.raises(ValueError, match="at least one base station"):
+            remark2_test(1e-9, 100.0, RAYLEIGH, WeightLaw.nearest(), 2, UNIT, seed=38,
                          n_envelope=39)
 
     def test_negligible_thinning_flagged_uninformative(self):
