@@ -37,13 +37,12 @@ from .pointprocess import (
     map_pattern,
     sample_ppp,
 )
-from .spatialstats import KFunctionEstimate, ppp_envelope, remark2_test, ripley_k
+from .spatialstats import ppp_envelope, remark2_test, ripley_k
 
 __all__ = [
     "AssociationOutcome",
     "ChannelParams",
     "EstimateWithCI",
-    "KFunctionEstimate",
     "PointPattern",
     "SimulationWindow",
     "WeightLaw",

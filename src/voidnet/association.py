@@ -496,6 +496,30 @@ def _replication_cells(
     return _station_counts(bs, sample_ppp(lambda_u, window, rng), cp, law, rng)
 
 
+def _padded(hists: list[np.ndarray]) -> np.ndarray:
+    """Per-replication histograms as one (reps, width) matrix, zero-padded to the widest."""
+    width = max(len(h) for h in hists)
+    return np.array([np.pad(h, (0, width - len(h))) for h in hists])
+
+
+def _pooled_columns(counts: np.ndarray, weights: np.ndarray) -> list[EstimateWithCI]:
+    """One pooled estimate per column of the (width, columns) ``weights``.
+
+    ``counts`` is the (reps, width) matrix of :func:`_padded`; in column j
+    a cell holding k users weighs ``weights[k, j]``, in [0, 1].  The sums
+    of squared weights set the interval's per-cell variance floor (see
+    :func:`voidnet.analytics.pooled_fraction`); 0/1 weights are their own
+    squares, so an indicator column keeps the cell-count floor bit for bit.
+    """
+    sums = counts @ weights
+    squares = counts @ weights**2
+    cells = counts.sum(axis=1)
+    return [
+        EstimateWithCI(*pooled_fraction(column, cells, column_squares), reps=len(counts))
+        for column, column_squares in zip(sums.T, squares.T)
+    ]
+
+
 def _void_estimates(hists: list[np.ndarray], retain) -> list[EstimateWithCI]:
     """Pooled void fraction at each user retention probability ``p`` in ``retain``.
 
@@ -503,22 +527,13 @@ def _void_estimates(hists: list[np.ndarray], retain) -> list[EstimateWithCI]:
     keep probability p leaves it void with probability exactly (1 - p)^K,
     so a replication's expected void count at p is sum_k h[k] (1 - p)^k
     (conditional Monte Carlo).  At p = 1 that is h[0], the plain count.
-    The per-replication sums of squares sum_k h[k] (1 - p)^2k go with it,
-    so the interval's per-cell variance floor is that of the weights
-    pooled (see :func:`voidnet.analytics.pooled_fraction`); at p = 1 the
-    weights are 0/1, whose floor is the cell count.
+    These are the weight columns of :func:`_pooled_columns`, so the
+    interval's per-cell variance floor is that of the weights pooled; at
+    p = 1 the weights are 0/1, whose floor is the cell count.
     """
-    width = max(len(h) for h in hists)
-    counts = np.array([np.pad(h, (0, width - len(h))) for h in hists])
-    void_weights = (1.0 - np.asarray(retain, dtype=float)) ** np.arange(width)[:, None]
-    voids = counts @ void_weights
-    squares = counts @ void_weights**2
-    cells = counts.sum(axis=1)
-    estimates = []
-    for column, column_squares in zip(voids.T, squares.T):
-        p_hat, lo, hi = pooled_fraction(column, cells, column_squares)
-        estimates.append(EstimateWithCI(value=p_hat, ci_low=lo, ci_high=hi, reps=len(hists)))
-    return estimates
+    counts = _padded(hists)
+    void_weights = (1.0 - np.asarray(retain, dtype=float)) ** np.arange(counts.shape[1])[:, None]
+    return _pooled_columns(counts, void_weights)
 
 
 def _cell_histograms(
@@ -635,18 +650,6 @@ def void_probability_mc(
     return _void_estimates(hists, (1.0,))[0]
 
 
-@dataclass(frozen=True)
-class CellCountPmf:
-    """Empirical per-cell user-count distribution with per-bin intervals."""
-
-    n_values: np.ndarray
-    pmf: np.ndarray
-    ci_low: np.ndarray
-    ci_high: np.ndarray
-    mean: float
-    reps: int
-
-
 def cell_count_pmf_mc(
     lambda_b: float,
     lambda_u: float,
@@ -656,24 +659,16 @@ def cell_count_pmf_mc(
     window: SimulationWindow,
     seed: int,
     half_width: float | None = None,
-) -> CellCountPmf:
-    """Empirical pmf of the number of users in a cell.
+) -> tuple[list[EstimateWithCI], float]:
+    """Empirical pmf of the number of users in a cell, and its mean.
 
-    Shares the replication streams and the sequential ``half_width`` rule
-    of :func:`void_probability_mc` (the target applies to the n = 0 bin),
-    so that bin reproduces its estimate exactly for the same arguments.
+    Returns ``(bins, mean_users_per_cell)``: ``bins[n]``, the pooled share
+    of cells holding n users, is identity column n of
+    :func:`_pooled_columns`.  Shares the replication streams and the
+    sequential ``half_width`` rule of :func:`void_probability_mc` (the
+    target applies to the n = 0 bin), so ``bins[0]`` is its estimate.
     """
-    hists = _cell_histograms(lambda_b, lambda_u, cp, law, reps, window, seed, half_width)
-    width = max(len(h) for h in hists)
-    hist = np.array([np.pad(h, (0, width - len(h))) for h in hists], dtype=float)
-    cells = hist.sum(axis=1)
-    n_values = np.arange(hist.shape[1])
-    pmf, lo, hi = np.array([pooled_fraction(hist[:, n], cells) for n in n_values]).T
-    return CellCountPmf(
-        n_values=n_values,
-        pmf=pmf,
-        ci_low=lo,
-        ci_high=hi,
-        mean=float((hist @ n_values).sum() / cells.sum()),
-        reps=len(hists),
-    )
+    counts = _padded(_cell_histograms(lambda_b, lambda_u, cp, law, reps, window, seed, half_width))
+    width = counts.shape[1]
+    mean = float((counts @ np.arange(width)).sum() / counts.sum())
+    return _pooled_columns(counts, np.eye(width)), mean

@@ -80,7 +80,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--half-width", type=float, dest="half_width",
                         help="target 95%% CI half-width for auto reps; void-prob (at "
                              "every grid ratio, on shared replications) and cell-pmf (on "
-                             "its n = 0 bin) add reps until it is met (default 0.005)")
+                             "its n = 0 bin) add reps until it is met (default 0.005); "
+                             "coverage, remark2, bounds-check and conservation-check run "
+                             "a fixed count and ignore it")
     parser.add_argument("--mark-law", dest="mark_law",
                         help="conservation-check marks: deterministic:T | lognormal:MU,S2 | channel")
     parser.add_argument("--grid", type=int, help="quadrat grid for CSR tests (default 5)")

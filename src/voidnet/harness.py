@@ -72,6 +72,9 @@ MIN_WINDOW_STATIONS = 40.0
 # Experiments that draw every replication on the window of _grid_window.
 _GRID_EXPERIMENTS = ("void-prob", "cell-pmf", "coverage", "remark2")
 
+# Experiments that run a fixed replication count and take no half-width target.
+_FIXED_REPS = ("coverage", "remark2", "bounds-check", "conservation-check")
+
 # bounds-check draws each set's user/station ratio uniformly from this range.
 BOUNDS_CHECK_RATIOS = (0.3, 6.0)
 
@@ -279,12 +282,16 @@ def parse_mark_law(spec: str, cp: ChannelParams, law: WeightLaw):
         try:
             mu_s, s2_s = spec.split(":", 1)[1].split(",")
             mu_t, s2_t = float(mu_s), float(s2_s)
+            moment = math.exp(-2.0 * mu_t + 2.0 * s2_t)
         except ValueError:
             raise ConfigError([f"bad lognormal mark spec {spec!r}; expected lognormal:MU,SIGMA2"])
-        if not (math.isfinite(mu_t) and math.isfinite(s2_t) and s2_t >= 0):
-            raise ConfigError(["lognormal mark needs a finite mean and a finite variance >= 0"])
+        except OverflowError:
+            moment = math.inf
+        if not (math.isfinite(mu_t) and s2_t >= 0 and math.isfinite(moment)):
+            raise ConfigError(["lognormal mark needs a finite mean, a variance >= 0 and a finite "
+                               "E[1/T^2] = exp(-2 MU + 2 SIGMA2)"])
         sampler = lambda rng, n: np.exp(rng.normal(mu_t, math.sqrt(s2_t), size=n))
-        return sampler, math.exp(-2.0 * mu_t + 2.0 * s2_t)
+        return sampler, moment
     if spec == "channel":
         moment = fractional_moment(cp, law, 2.0 / cp.alpha)
         if law.kind == "nearest":
@@ -392,13 +399,16 @@ def validate(config: ExperimentConfig) -> list[str]:
             f"warning: window side {window.side} km gives expected counts below "
             f"{MIN_EXPECTED_POINTS:.0f} at ratio {r_top}; need >= {needed} km"
         )
-    if config.experiment == "void-prob" and config.reps is not None:
+    if config.experiment in ("void-prob", "cell-pmf") and config.reps is not None:
         needed = _first_batch(config, zd, r_top, window)
         if config.reps < needed:
             diags.append(
                 f"warning: reps={config.reps} too small for half-width {config.half_width}; "
                 f"suggest reps >= {needed}"
             )
+    if config.experiment in _FIXED_REPS and config.half_width != ExperimentConfig.half_width:
+        diags.append(f"warning: {config.experiment} ignores half-width {config.half_width}: "
+                     "it runs a fixed replication count, set by --reps")
     return diags
 
 
@@ -522,23 +532,22 @@ def _cell_pmf_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
     lambda_b = config.lambda_u / ratio
     # Sized like void-prob's first batch, so the n = 0 bin is its estimate.
     reps = config.reps or _first_batch(config, zeta_dagger(cp, law), ratio, window)
-    pmf = cell_count_pmf_mc(
+    bins, mean = cell_count_pmf_mc(
         lambda_b, config.lambda_u, cp, law, reps, window, config.seed,
         half_width=None if config.reps else config.half_width,
     )
-    rows = []
-    for n in pmf.n_values:
-        rows.append(
-            {
-                "n_users": int(n),
-                "p_sim": pmf.pmf[n],
-                "ci_low": pmf.ci_low[n],
-                "ci_high": pmf.ci_high[n],
-                "p_formula": user_count_pmf(int(n), config.lambda_u, lambda_b),
-            }
-        )
-    meta = {"ratio": ratio, "lambda_b": lambda_b, "mean_users_per_cell": pmf.mean,
-            "reps": pmf.reps, "side": window.side}
+    rows = [
+        {
+            "n_users": n,
+            "p_sim": est.value,
+            "ci_low": est.ci_low,
+            "ci_high": est.ci_high,
+            "p_formula": user_count_pmf(n, config.lambda_u, lambda_b),
+        }
+        for n, est in enumerate(bins)
+    ]
+    meta = {"ratio": ratio, "lambda_b": lambda_b, "mean_users_per_cell": mean,
+            "reps": bins[0].reps, "side": window.side}
     return rows, meta
 
 

@@ -26,36 +26,19 @@ MAX_RADIUS_FRACTION = 0.25
 MIN_POINTS = 10
 
 
-@dataclass(frozen=True)
-class KFunctionEstimate:
-    """K-function values at a set of radii."""
-
-    radii: np.ndarray
-    k_hat: np.ndarray
-
-    def __post_init__(self) -> None:
-        r = np.asarray(self.radii, dtype=float)
-        if np.any(r <= 0) or np.any(np.diff(r) <= 0):
-            raise ValueError("radii must be positive and strictly increasing")
-        k = np.asarray(self.k_hat, dtype=float)
-        if k.shape != r.shape:
-            raise ValueError("k_hat must match radii")
-        if np.any(k < 0) or np.any(np.diff(k) < 0):
-            raise ValueError("k_hat must be non-negative and non-decreasing")
-
-
 def default_radii(window: SimulationWindow) -> np.ndarray:
     """Twenty evenly spaced radii from side/50 up to the side/4 cap."""
     return np.linspace(window.side / 50.0, window.side * MAX_RADIUS_FRACTION, 20)
 
 
-def ripley_k(pattern: PointPattern, radii) -> KFunctionEstimate:
-    """Ripley's K estimate with toroidal edge correction.
+def ripley_k(pattern: PointPattern, radii) -> np.ndarray:
+    """Ripley's K estimate at each of ``radii``, with toroidal edge correction.
 
     K_hat(r) = area / (N (N - 1)) * #{ordered pairs with d(i, j) <= r}.
     For a homogeneous PPP, E[K_hat(r)] = pi r^2.  Wrap bias grows for
     radii above side/4; at the maximum toroidal distance K_hat saturates
-    at exactly the window area.
+    at exactly the window area.  The radii must be positive and strictly
+    increasing; the estimates then never decrease.
 
     The count is exact.  A periodic k-d tree lists the unordered pairs
     within the largest radius, queried a few ulps wide so that rounding
@@ -71,6 +54,8 @@ def ripley_k(pattern: PointPattern, radii) -> KFunctionEstimate:
     if n < MIN_POINTS:
         raise ValueError(f"pattern has {n} points; need at least {MIN_POINTS}")
     r = np.atleast_1d(np.asarray(radii, dtype=float))
+    if np.any(r <= 0) or np.any(np.diff(r) <= 0):
+        raise ValueError("radii must be positive and strictly increasing")
 
     side = pattern.window.side
     r_max = r.max(initial=0.0)  # an empty radius list counts no pairs
@@ -84,8 +69,7 @@ def ripley_k(pattern: PointPattern, radii) -> KFunctionEstimate:
     gap *= gap
     counts = 2 * np.searchsorted(np.sort(gap[:, 0] + gap[:, 1]), r * r, side="right")
     area = pattern.window.sampling_area()
-    k_hat = area * counts / (n * (n - 1.0))
-    return KFunctionEstimate(radii=r, k_hat=k_hat)
+    return area * counts / (n * (n - 1.0))
 
 
 def ppp_envelope(
@@ -109,7 +93,7 @@ def ppp_envelope(
         raise ValueError("envelope radii must stay at or below side/4")
 
     def draw(rng: np.random.Generator) -> np.ndarray:
-        return ripley_k(sample_ppp(intensity, window, rng), r).k_hat
+        return ripley_k(sample_ppp(intensity, window, rng), r)
 
     k_sims = np.array(run_reps(draw, seed, n_envelope))
     return np.percentile(k_sims, 2.5, axis=0), np.percentile(k_sims, 97.5, axis=0)
@@ -168,7 +152,7 @@ def remark2_test(
                 f"associated pattern has {len(kept)} stations (< {MIN_POINTS}); "
                 "no K statistic is possible at these intensities"
             )
-        return ripley_k(kept, r).k_hat, len(bs) - len(kept), len(bs)
+        return ripley_k(kept, r), len(bs) - len(kept), len(bs)
 
     results = run_reps(draw, seed, reps)
     void_fraction, _, _ = pooled_fraction([v for _, v, _ in results], [c for _, _, c in results])

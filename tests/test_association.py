@@ -686,48 +686,42 @@ class TestVoidProbabilitySweep:
 
 class TestCellCountPmf:
     def test_no_users_point_mass(self):
-        pmf = cell_count_pmf_mc(50.0, 0.0, RAYLEIGH, WeightLaw.nearest(), 5,
-                                SimulationWindow(side=4.0), seed=5)
-        assert pmf.pmf[0] == 1.0
-        assert len(pmf.n_values) == 1
+        bins, _ = cell_count_pmf_mc(50.0, 0.0, RAYLEIGH, WeightLaw.nearest(), 5,
+                                    SimulationWindow(side=4.0), seed=5)
+        assert bins[0].value == 1.0
+        assert len(bins) == 1
 
     def test_matches_closed_form_bins(self):
         window = SimulationWindow(side=1.2)
         lu = lb = 370.0
-        pmf = cell_count_pmf_mc(lb, lu, RAYLEIGH, WeightLaw.nearest(), 80, window, seed=6)
+        bins, _ = cell_count_pmf_mc(lb, lu, RAYLEIGH, WeightLaw.nearest(), 80, window, seed=6)
         for n in range(9):
-            se = (pmf.ci_high[n] - pmf.ci_low[n]) / 2.0 / 1.959963984540054
             expected = user_count_pmf(n, lu, lb)
-            assert abs(pmf.pmf[n] - expected) < 3.0 * max(se, 1e-4)
+            assert abs(bins[n].value - expected) < 3.0 * max(bins[n].se, 1e-4)
 
     def test_mean_mass_conservation(self):
         window = SimulationWindow(side=1.645)
-        pmf = cell_count_pmf_mc(185.0, 370.0, RAYLEIGH, WeightLaw.nearest(), 40, window, seed=7)
+        _, mean = cell_count_pmf_mc(185.0, 370.0, RAYLEIGH, WeightLaw.nearest(), 40, window,
+                                    seed=7)
         # ratio estimator of total users / total cells; both totals Poisson
         reps, area = 40, window.sampling_area()
         se = 2.0 * math.sqrt(1.0 / (370.0 * area * reps) + 1.0 / (185.0 * area * reps))
-        assert abs(pmf.mean - 2.0) < 3.0 * se
+        assert abs(mean - 2.0) < 3.0 * se
 
     def test_zero_bin_equals_void_estimate_on_same_stream(self):
         window = SimulationWindow(side=1.645)
         args = (185.0, 370.0, RAYLEIGH, WeightLaw.nearest(), 12, window)
-        pmf = cell_count_pmf_mc(*args, seed=8)
-        est = void_probability_mc(*args, seed=8)
-        assert pmf.pmf[0] == pytest.approx(est.value, rel=1e-12)
+        bins, _ = cell_count_pmf_mc(*args, seed=8)
+        assert bins[0] == void_probability_mc(*args, seed=8)
 
     def test_half_width_target_on_zero_bin(self):
         window = SimulationWindow(side=1.645)
         args = (185.0, 370.0, RAYLEIGH, WeightLaw.nearest(), 4, window)
-        pmf = cell_count_pmf_mc(*args, seed=48, half_width=0.01)
-        assert (pmf.ci_high[0] - pmf.ci_low[0]) / 2.0 <= 0.01
-        assert pmf.reps > 4 and pmf.reps % 4 == 0
-        fixed = cell_count_pmf_mc(*args[:4], pmf.reps, window, seed=48)
-        for name in ("n_values", "pmf", "ci_low", "ci_high"):
-            assert np.array_equal(getattr(pmf, name), getattr(fixed, name))
-        assert (pmf.mean, pmf.reps) == (fixed.mean, fixed.reps)
-        est = void_probability_mc(*args, seed=48, half_width=0.01)
-        assert (pmf.pmf[0], pmf.ci_low[0], pmf.ci_high[0], pmf.reps) == (
-            est.value, est.ci_low, est.ci_high, est.reps)
+        bins, mean = cell_count_pmf_mc(*args, seed=48, half_width=0.01)
+        assert bins[0].half_width <= 0.01
+        assert bins[0].reps > 4 and bins[0].reps % 4 == 0
+        assert cell_count_pmf_mc(*args[:4], bins[0].reps, window, seed=48) == (bins, mean)
+        assert bins[0] == void_probability_mc(*args, seed=48, half_width=0.01)
 
 
 class TestAssociatedPattern:

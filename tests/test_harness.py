@@ -63,6 +63,15 @@ class TestValidate:
         assert any("suggest reps >=" in d for d in diags)
         assert fatal(diags) == []
 
+    @pytest.mark.parametrize("experiment",
+                             ["coverage", "remark2", "bounds-check", "conservation-check"])
+    def test_fixed_count_experiments_warn_half_width_ignored(self, experiment):
+        cfg = dict(experiment=experiment, ratio_grid=(2.0,), reps=3)
+        assert validate(ExperimentConfig(**cfg)) == []  # the default half-width says nothing
+        [warning] = validate(ExperimentConfig(half_width=0.01, **cfg))
+        assert warning.startswith("warning:")
+        assert "ignores half-width 0.01" in warning and "--reps" in warning
+
     def test_undersized_window(self):
         cfg = ExperimentConfig(experiment="void-prob", ratio_grid=(2.0,), side=0.5)
         assert any("expected counts below" in d for d in validate(cfg))
@@ -208,7 +217,7 @@ class TestParsers:
         assert np.all(sampler3(rng, 5) == 1.0)
         assert rng.bit_generator.state == state  # no gains drawn only to be discarded
         for bad in ("cauchy", "lognormal:0", "lognormal:a,b", "lognormal:0,nan",
-                    "deterministic:abc", "deterministic:inf"):
+                    "lognormal:0,1000", "deterministic:abc", "deterministic:inf"):
             with pytest.raises(ConfigError):
                 parse_mark_law(bad, cp, law)
 
@@ -479,6 +488,29 @@ class TestRunExperiments:
         run(ExperimentConfig(out=str(tmp_path / "a.csv"), **base))
         assert calls == [int(warning.rsplit(">= ", 1)[1])]
 
+    def test_cell_pmf_first_batch_matches_validate_suggestion(self, tmp_path, monkeypatch):
+        # cell-pmf sizes its first batch like void-prob and warns alike.
+        calls = []
+
+        def fake_mc(*args, half_width=None):
+            calls.append(args[4])
+            return [EstimateWithCI(value=0.2, ci_low=0.19, ci_high=0.21, reps=args[4])], 2.0
+
+        monkeypatch.setattr(harness, "cell_count_pmf_mc", fake_mc)
+        base = dict(experiment="cell-pmf", law="unit", sigma_db=8.0, ratio_grid=(2.0,))
+        [warning] = validate(ExperimentConfig(reps=1, **base))
+        run(ExperimentConfig(out=str(tmp_path / "a.csv"), **base))
+        assert calls == [int(warning.rsplit(">= ", 1)[1])]
+
+    def test_cell_pmf_mean_and_reps_pinned(self, tmp_path):
+        # The pinned rows leave out the mean users per cell, which the
+        # metadata reports; same config as the pinned cell-pmf rows.
+        out = tmp_path / "a.json"
+        run(ExperimentConfig(experiment="cell-pmf", ratio_grid=(2.0,), reps=3, fmt="json",
+                             out=str(out)))
+        meta = json.loads(out.read_text())["metadata"]
+        assert (meta["result.mean_users_per_cell"], meta["result.reps"]) == (1.9852546916890081, 3)
+
     def test_cell_pmf_zero_bin_is_void_prob_estimate(self, tmp_path):
         # Both auto-rep runs size their first batch alike (gamma-area guess
         # at rho = 3.5 zeta-dagger), so the n = 0 bin reproduces void-prob's
@@ -615,6 +647,7 @@ class TestCli:
         ["coverage", "--ratio-grid", "2", "--reps", "2", "--side", "0.01"],
         ["conservation-check", "--reps", "2", "--mark-law", "lognormal:0,50"],
         ["conservation-check", "--reps", "2", "--side", "0.05"],
+        ["conservation-check", "--reps", "2", "--mark-law", "lognormal:0,1000"],
     ], ids=["remark2-n-envelope", "conservation-mark-law", "formulas-zero-ratio",
             "void-prob-negative-ratio", "void-prob-zero-half-width",
             "void-prob-negative-half-width", "void-prob-nan-half-width",
@@ -625,7 +658,7 @@ class TestCli:
             "void-prob-window-without-stations", "cell-pmf-window-without-stations",
             "bounds-check-window-without-stations", "remark2-window-without-stations",
             "coverage-window-without-stations", "conservation-source-too-large",
-            "conservation-target-too-small"])
+            "conservation-target-too-small", "conservation-mark-moment-overflow"])
     def test_config_errors_exit_two(self, argv, tmp_path, capsys):
         assert cli_main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
         assert "config error:" in capsys.readouterr().err

@@ -11,7 +11,6 @@ from voidnet.geometry import SimulationWindow, pairwise_distances
 from voidnet.pointprocess import PointPattern, rep_rng, sample_ppp
 from voidnet.spatialstats import (
     MIN_POINTS,
-    KFunctionEstimate,
     default_radii,
     ppp_envelope,
     remark2_test,
@@ -81,7 +80,7 @@ class TestRipleyK:
         k_sum = np.zeros(3)
         reps = 500
         for r in range(reps):
-            k_sum += ripley_k(sample_ppp(200.0, UNIT, rep_rng(21, r)), radii).k_hat
+            k_sum += ripley_k(sample_ppp(200.0, UNIT, rep_rng(21, r)), radii)
         k_mean = k_sum / reps
         assert np.all(np.abs(k_mean - np.pi * radii**2) < 0.02 * np.pi * radii**2)
 
@@ -92,26 +91,26 @@ class TestRipleyK:
         pts.append([0.95, 0.05])
         p = pattern(pts)
         n = len(pts)
-        k = ripley_k(p, [1e-9]).k_hat[0]
+        k = ripley_k(p, [1e-9])[0]
         assert k == pytest.approx(UNIT.sampling_area() * 2.0 / (n * (n - 1)))
 
     def test_hard_core_zero_below_separation(self):
         g = np.linspace(0.125, 0.875, 4)
         xx, yy = np.meshgrid(g, g)
         p = pattern(np.column_stack([xx.ravel(), yy.ravel()]))
-        k = ripley_k(p, [0.2, 0.24]).k_hat
+        k = ripley_k(p, [0.2, 0.24])
         assert np.all(k == 0.0)  # minimum toroidal spacing is 0.25
 
     def test_saturation_at_max_distance(self):
         p = sample_ppp(100.0, UNIT, np.random.default_rng(22))
-        k = ripley_k(p, [UNIT.side * math.sqrt(2.0) / 2.0]).k_hat[0]
+        k = ripley_k(p, [UNIT.side * math.sqrt(2.0) / 2.0])[0]
         assert k == pytest.approx(UNIT.sampling_area())
 
     def test_translation_invariance(self):
         p = sample_ppp(150.0, UNIT, np.random.default_rng(23))
         radii = np.array([0.05, 0.1, 0.2])
         shifted = pattern(UNIT.wrap(p.points + np.array([0.37, 0.81])))
-        assert np.allclose(ripley_k(p, radii).k_hat, ripley_k(shifted, radii).k_hat)
+        assert np.allclose(ripley_k(p, radii), ripley_k(shifted, radii))
 
     def test_too_few_points_rejected(self):
         p = pattern([[0.1, 0.1], [0.2, 0.2]])
@@ -119,10 +118,9 @@ class TestRipleyK:
             ripley_k(p, [0.1])
 
     def test_estimate_validation(self):
-        with pytest.raises(ValueError):
-            KFunctionEstimate(radii=np.array([0.2, 0.1]), k_hat=np.array([0.0, 0.0]))
-        with pytest.raises(ValueError):
-            KFunctionEstimate(radii=np.array([0.1, 0.2]), k_hat=np.array([0.2, 0.1]))
+        p = sample_ppp(100.0, UNIT, np.random.default_rng(24))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ripley_k(p, np.array([0.2, 0.1]))
 
     def test_matches_pairwise_reference(self):
         # the dense all-pairs count the tree replaced, kept as the reference
@@ -134,7 +132,7 @@ class TestRipleyK:
             pairs = np.sort(dist[np.triu_indices(n, k=1)])
             counts = 2.0 * np.searchsorted(pairs, radii, side="right")
             expected = UNIT.sampling_area() * counts / (n * (n - 1.0))
-            assert np.array_equal(ripley_k(p, radii).k_hat, expected)
+            assert np.array_equal(ripley_k(p, radii), expected)
 
     @given(tied_patterns())
     def test_pair_list_is_exact(self, case):
@@ -143,7 +141,7 @@ class TestRipleyK:
         # miscount a pair lying exactly at r on a lattice, so it is held to
         # equality only where no squared pair distance is within 1e-9 of r^2.
         p, radii = case
-        k = ripley_k(p, radii).k_hat
+        k = ripley_k(p, radii)
         assert np.array_equal(k, all_pairs_k(p, radii))
         d2 = pair_d2(p)
         clear = np.array([not np.any(np.isclose(d2, rr * rr, rtol=1e-9, atol=0.0)) for rr in radii])
@@ -160,7 +158,7 @@ class TestRipleyK:
         p = pattern(np.column_stack([xx.ravel(), yy.ravel()]))
         radii = [np.nextafter(0.125, 0.0), 0.125, np.nextafter(0.25, 0.0), 0.25]
         per_point = np.array([0, 4, 8, 12])
-        k = ripley_k(p, radii).k_hat
+        k = ripley_k(p, radii)
         assert np.array_equal(k, 64 * per_point / (64 * 63.0))
         assert np.array_equal(k, reference_k(p, radii))
 
@@ -171,7 +169,7 @@ class TestRipleyK:
         reps, k_tor, k_guard = 200, np.zeros(2), np.zeros(2)
         for r in range(reps):
             p = sample_ppp(300.0, UNIT, rep_rng(25, r))
-            k_tor += ripley_k(p, radii).k_hat
+            k_tor += ripley_k(p, radii)
             pts = p.points
             interior = np.all((pts >= 0.1) & (pts <= 0.9), axis=1)
             lam_hat = len(pts) / UNIT.sampling_area()
@@ -197,7 +195,7 @@ class TestPppEnvelope:
         lo, hi = ppp_envelope(200.0, UNIT, radii, n_envelope=999, seed=27)
         exits = []
         for s in range(500):
-            k = ripley_k(sample_ppp(200.0, UNIT, rep_rng(28, s)), radii).k_hat
+            k = ripley_k(sample_ppp(200.0, UNIT, rep_rng(28, s)), radii)
             exits.append(np.mean((k < lo) | (k > hi)))
         assert abs(np.mean(exits) - 0.05) < 0.02
 
@@ -213,7 +211,7 @@ class TestPppEnvelope:
     def test_percentiles_of_rep_rng_patterns(self):
         radii = np.array([0.05, 0.1, 0.2])
         lo, hi = ppp_envelope(200.0, UNIT, radii, n_envelope=39, seed=33)
-        k = [ripley_k(sample_ppp(200.0, UNIT, rep_rng(33, i)), radii).k_hat for i in range(39)]
+        k = [ripley_k(sample_ppp(200.0, UNIT, rep_rng(33, i)), radii) for i in range(39)]
         assert np.array_equal(lo, np.percentile(k, 2.5, axis=0))
         assert np.array_equal(hi, np.percentile(k, 97.5, axis=0))
 
