@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +46,7 @@ from scipy.spatial import cKDTree
 from scipy.special import gammaincc, gammainccinv, ndtr, ndtri
 
 from .analytics import EstimateWithCI, pooled_fraction
-from .channel import LOGNORMAL, NEAREST, ChannelParams, WeightLaw, sample_gain, zeta_dagger
+from .channel import LOGNORMAL, NEAREST, ChannelParams, WeightLaw, sample_gain
 from .geometry import SimulationWindow, _shortest_way
 from .pointprocess import PointPattern, run_reps, sample_ppp
 
@@ -558,14 +557,6 @@ def _cell_histograms(
         raise ValueError("lambda_b must be > 0")
     if half_width is not None and not half_width > 0:
         raise ValueError(f"half_width must be > 0, got {half_width}")
-    if np.isinf(zeta_dagger(cp, law)):
-        warnings.warn(
-            "moment product E[(WH)^(2/a)]E[(WH)^(-2/a)] diverges (m <= 2/alpha, or moments "
-            "past the float range); "
-            "closed-form void expressions are inapplicable, only the "
-            "exp(-lambda_u/lambda_b) lower bound remains",
-            stacklevel=3,
-        )
 
     def draw(rng: np.random.Generator) -> np.ndarray:
         return np.bincount(_replication_cells(lambda_b, lambda_u, cp, law, window, rng), minlength=1)

@@ -47,7 +47,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         type=_float_list,
         help="comma-separated user/station intensity ratios, e.g. 0.5,1,2,4,8; void-prob "
              "and coverage draw each replication once, at the largest ratio, and reach "
-             "smaller ones by thinning its users",
+             "smaller ones by thinning its users; cell-pmf and remark2 take a one-entry grid",
     )
     parser.add_argument("--alpha", type=float, help="path-loss exponent (> 2, default 4)")
     parser.add_argument("--m", type=float, help="Nakagami shape (default 1 = Rayleigh power)")
@@ -73,7 +73,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="window side in km, or 'auto' (at least 500 expected stations "
                              "and users); a void-prob or coverage grid uses it at its "
                              "largest ratio, and void-prob rows report the equivalent "
-                             "side at their own station intensity")
+                             "side at their own station intensity; validate warns when "
+                             "a drawn window expects fewer than 500 stations or users")
     parser.add_argument("--seed", type=int, help="master seed (default 1)")
     parser.add_argument("--out", help="output file path")
     parser.add_argument("--format", dest="fmt", help="output format: csv | json (default csv)")

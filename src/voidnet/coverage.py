@@ -18,7 +18,6 @@ intervals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -146,21 +145,6 @@ def sir_samples(
     return [(dict(zip(models, sir.T)), float(np.mean(tie))) for sir, tie in zip(sirs, ties)]
 
 
-@dataclass(frozen=True)
-class CoverageRow:
-    """One sweep entry: a (user/station ratio, model) coverage estimate."""
-
-    ratio: float
-    lambda_b: float
-    model: str
-    beta: float
-    coverage: float
-    ci_low: float
-    ci_high: float
-    reps: int
-    near_tie_fraction: float
-
-
 def coverage_sweep(
     ratio_grid,
     lambda_u: float,
@@ -171,12 +155,14 @@ def coverage_sweep(
     window: SimulationWindow,
     seed: int,
     models: tuple[str, ...] = MODELS,
-) -> list[CoverageRow]:
+) -> list[dict]:
     """P(SIR >= beta) with a Wilson interval, per grid ratio and model.
 
     The SIRs come from :func:`sir_samples`, so all models and ratios share
     each replication; ``window`` should be sized for the largest ratio.
-    Row ``lambda_b`` is lambda_u / ratio.
+    Returns one row per (ratio, model), a dict whose keys are the coverage
+    result file's CSV columns: ratio, lambda_b (lambda_u / ratio), model,
+    beta, coverage, ci_low, ci_high, reps and near_tie_fraction.
     """
     if not (math.isfinite(beta) and beta > 0):
         raise ValueError(f"SIR threshold beta must be finite and > 0, got {beta}")
@@ -187,5 +173,7 @@ def coverage_sweep(
         for m in models:
             covered = float(np.mean(sirs[m] >= beta))
             lo, hi = wilson_interval(covered, reps)
-            rows.append(CoverageRow(ratio, lambda_u / ratio, m, beta, covered, lo, hi, reps, tie))
+            rows.append({"ratio": ratio, "lambda_b": lambda_u / ratio, "model": m, "beta": beta,
+                         "coverage": covered, "ci_low": lo, "ci_high": hi, "reps": reps,
+                         "near_tie_fraction": tie})
     return rows

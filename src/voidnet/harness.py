@@ -72,8 +72,8 @@ MIN_WINDOW_STATIONS = 40.0
 # Experiments that draw every replication on the window of _grid_window.
 _GRID_EXPERIMENTS = ("void-prob", "cell-pmf", "coverage", "remark2")
 
-# Experiments that run a fixed replication count and take no half-width target.
-_FIXED_REPS = ("coverage", "remark2", "bounds-check", "conservation-check")
+# Replications of each experiment that runs a fixed count (no half-width target).
+_FIXED_REPS = {"coverage": 400, "remark2": 40, "bounds-check": 24, "conservation-check": 200}
 
 # bounds-check draws each set's user/station ratio uniformly from this range.
 BOUNDS_CHECK_RATIOS = (0.3, 6.0)
@@ -329,9 +329,9 @@ def validate(config: ExperimentConfig) -> list[str]:
     Builds what the run builds (channel, weight law, mark law, ratio grid)
     and reports each constructor's error, so no check a constructor makes
     is restated here.  Fields no object owns must be finite and > 0.
-    Every window a run draws must expect enough points to draw from and
-    at most ``MAX_WINDOW_POINTS`` (:func:`_window_counts`), so no draw
-    redraws or skips a window that holds too few.
+    Every window a run draws, and no other, is judged on its expected
+    counts (:func:`_window_counts`): too few to draw from or more than
+    ``MAX_WINDOW_POINTS`` is fatal, below the advisory floor a warning.
     Diagnostics prefixed ``warning:`` are advisory cross-field checks, made
     only for a config with no other diagnostic; anything else blocks
     :func:`run` with a nonzero exit.
@@ -376,8 +376,8 @@ def validate(config: ExperimentConfig) -> list[str]:
     if diags:
         return diags
     zd = zeta_dagger(cp, law)
-    for what, expected, least, most in _built(lambda: _window_counts(config, ratios, zd, marks),
-                                              diags) or ():
+    counts = _built(lambda: _window_counts(config, ratios, zd, marks), diags) or ()
+    for what, expected, least, _, most in counts:
         if expected > most:
             diags.append(f"{what}: {expected:.3g} expected; at most {most:,} can be drawn")
         elif expected < least:
@@ -385,22 +385,16 @@ def validate(config: ExperimentConfig) -> list[str]:
     if diags:
         return diags
 
-    # The largest ratio has the fewest stations, so it needs the largest window.
-    r_top, window = _grid_window(config, ratios)
     if math.isinf(zd):
         diags.append(
             f"warning: zeta-dagger divergent (m <= 2/alpha, or moments past the float range): "
             f"m = {config.m}, 2/alpha = {2.0 / config.alpha:.4f}; "
             "closed-form overlays reduce to the lower bound"
         )
-    needed = auto_side(config.lambda_u / r_top, config.lambda_u)
-    if window.side < needed:
-        diags.append(
-            f"warning: window side {window.side} km gives expected counts below "
-            f"{MIN_EXPECTED_POINTS:.0f} at ratio {r_top}; need >= {needed} km"
-        )
+    diags += [f"warning: {what}: expected counts below {advised:g} ({expected:.3g})"
+              for what, expected, _, advised, _ in counts if expected < advised]
     if config.experiment in ("void-prob", "cell-pmf") and config.reps is not None:
-        needed = _first_batch(config, zd, r_top, window)
+        needed = _first_batch(config, zd, *_grid_window(config, ratios))
         if config.reps < needed:
             diags.append(
                 f"warning: reps={config.reps} too small for half-width {config.half_width}; "
@@ -446,8 +440,10 @@ def _first_batch(config: ExperimentConfig, zd: float, r_top: float, window: Simu
 
 
 def _window_counts(config: ExperimentConfig, ratios, zd: float, marks) -> list[tuple]:
-    """(what, expected count, least, most) for every window a run draws.
+    """(what, expected count, least, advised, most) for every window a run draws.
 
+    Outside [least, most] is fatal; below ``advised`` (``MIN_EXPECTED_POINTS``
+    for a grid or bounds-check window's stations and users) is a warning.
     bounds-check's windows are bounded by those at the ends of
     ``BOUNDS_CHECK_RATIOS``.  conservation-check needs ten mapped points
     per quadrat, twice what :func:`voidnet.pointprocess.csr_test` asks.
@@ -456,9 +452,9 @@ def _window_counts(config: ExperimentConfig, ratios, zd: float, marks) -> list[t
         lambda_b, mapped, target, source, _ = _conservation_windows(config, *marks)
         return [
             (f"source points in the source window (side {source.side:.4g} km)",
-             lambda_b * source.sampling_area(), 0.0, MAX_WINDOW_POINTS),
+             lambda_b * source.sampling_area(), 0.0, 0.0, MAX_WINDOW_POINTS),
             (f"mapped points in the target window (side {target.side:.4g} km)",
-             mapped * target.sampling_area(), 10.0 * config.grid**2, math.inf),
+             mapped * target.sampling_area(), 10.0 * config.grid**2, 0.0, math.inf),
         ]
     if config.experiment == "bounds-check":
         drawn = BOUNDS_CHECK_RATIOS
@@ -475,9 +471,10 @@ def _window_counts(config: ExperimentConfig, ratios, zd: float, marks) -> list[t
         if config.experiment == "remark2":
             label, needed = "non-void stations", stations * (1.0 - _void_guess(config, zd, ratio))
         counts += [
-            (f"stations in {where}", stations, 0.0, MAX_WINDOW_POINTS),
-            (f"users in {where}", config.lambda_u * window.sampling_area(), 0.0, MAX_WINDOW_POINTS),
-            (f"{label} in {where}", needed, MIN_WINDOW_STATIONS, math.inf),
+            (f"stations in {where}", stations, 0.0, MIN_EXPECTED_POINTS, MAX_WINDOW_POINTS),
+            (f"users in {where}", config.lambda_u * window.sampling_area(), 0.0,
+             MIN_EXPECTED_POINTS, MAX_WINDOW_POINTS),
+            (f"{label} in {where}", needed, MIN_WINDOW_STATIONS, 0.0, math.inf),
         ]
     return counts
 
@@ -553,7 +550,7 @@ def _cell_pmf_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
 
 def _bounds_check_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
     rng = rep_rng(config.seed, 2**32)
-    inner_reps = config.reps or 24
+    inner_reps = config.reps or _FIXED_REPS["bounds-check"]
     rows = []
     violations = 0
     for s in range(config.sets):
@@ -625,7 +622,7 @@ def _conservation_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
     cp = config.channel_params()
     law = config.weight_law()
     sampler, mean_inv_sq = parse_mark_law(config.mark_law, cp, law)
-    suites = config.reps or 200
+    suites = config.reps or _FIXED_REPS["conservation-check"]
     lambda_b, mapped_intensity_value, target, source, expansion = _conservation_windows(
         config, sampler, mean_inv_sq)
 
@@ -667,7 +664,7 @@ def _remark2_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
     law = config.weight_law()
     ratio, window = _grid_window(config, config.ratios())
     lambda_b = config.lambda_u / ratio
-    reps = config.reps or 40
+    reps = config.reps or _FIXED_REPS["remark2"]
     report = remark2_test(
         lambda_b, config.lambda_u, cp, law, reps, window, config.seed,
         n_envelope=config.n_envelope,
@@ -702,12 +699,11 @@ def _coverage_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
     cp = config.channel_params()
     law = config.weight_law()
     models = MODELS if config.model is None else (config.model,)
-    reps = config.reps or 400
+    reps = config.reps or _FIXED_REPS["coverage"]
     ratios = config.ratios()
     r_top, window = _grid_window(config, ratios)
-    results = coverage_sweep(ratios, config.lambda_u, cp, law, config.beta, reps, window,
-                             config.seed, models)
-    rows = [asdict(r) for r in results]
+    rows = coverage_sweep(ratios, config.lambda_u, cp, law, config.beta, reps, window,
+                          config.seed, models)
     meta = {"models": ",".join(models), "r_top": r_top, "side_top": window.side,
             "reps": reps, "batches": 1}
     return rows, meta
@@ -787,10 +783,18 @@ def _json_number(v):
     raise TypeError(f"{type(v).__name__} is not JSON serializable")
 
 
+def _json_value(v):
+    """``v``, or its CSV text (``inf``, ``nan``) for a non-finite float, which strict JSON lacks."""
+    if isinstance(v, float) and not math.isfinite(v):
+        return _format_value(v)
+    return v
+
+
 def write_rows(path: Path, fmt: str, rows: list[dict], metadata: dict) -> None:
     if fmt == "json":
-        payload = {"metadata": metadata, "rows": rows}
-        path.write_text(json.dumps(payload, indent=2, default=_json_number) + "\n")
+        payload = {"metadata": {k: _json_value(v) for k, v in metadata.items()},
+                   "rows": [{k: _json_value(v) for k, v in row.items()} for row in rows]}
+        path.write_text(json.dumps(payload, indent=2, default=_json_number, allow_nan=False) + "\n")
         return
     with open(path, "w", newline="") as fh:
         for k, v in metadata.items():

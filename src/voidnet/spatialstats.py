@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .analytics import pooled_fraction
-from .association import _station_counts, associated_pattern
+from .association import _station_counts, _void_estimates, associated_pattern
 from .channel import ChannelParams, WeightLaw
 from .geometry import SimulationWindow
 from .pointprocess import PointPattern, run_reps, sample_ppp
@@ -137,29 +136,33 @@ def remark2_test(
     nearest law, with no gain draw), thins each round to its non-void
     stations, and checks their K_hat at the window's :func:`default_radii`
     against an envelope of PPPs at the matched intensity (1 - void
-    fraction) * lambda_b.  When the realized void fraction is negligible
-    the report is flagged uninformative: the pattern is then nearly the
-    full PPP and only the false-positive floor remains.
+    fraction) * lambda_b.  The void fraction is pooled from each round's
+    cell-size histogram on void-prob's path, so it equals
+    :func:`voidnet.association.void_probability_mc` on the same arguments.
+    When the realized void fraction is negligible the report is flagged
+    uninformative: the pattern is then nearly the full PPP and only the
+    false-positive floor remains.
     """
     r = default_radii(window)
 
-    def draw(rng: np.random.Generator) -> tuple[np.ndarray, int, int]:
+    def draw(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         bs = sample_ppp(lambda_b, window, rng)
         users = sample_ppp(lambda_u, window, rng)
-        kept = associated_pattern(_station_counts(bs, users, cp, law, rng), bs)
+        counts = _station_counts(bs, users, cp, law, rng)
+        kept = associated_pattern(counts, bs)
         if len(kept) < MIN_POINTS:
             raise ValueError(
                 f"associated pattern has {len(kept)} stations (< {MIN_POINTS}); "
                 "no K statistic is possible at these intensities"
             )
-        return ripley_k(kept, r), len(bs) - len(kept), len(bs)
+        return ripley_k(kept, r), np.bincount(counts, minlength=1)
 
     results = run_reps(draw, seed, reps)
-    void_fraction, _, _ = pooled_fraction([v for _, v, _ in results], [c for _, _, c in results])
+    void_fraction = _void_estimates([h for _, h in results], (1.0,))[0].value
     matched = (1.0 - void_fraction) * lambda_b
     lo, hi = ppp_envelope(matched, window, r, n_envelope=n_envelope, seed=seed + 1)
 
-    k_all = np.array([k for k, _, _ in results])
+    k_all = np.array([k for k, _ in results])
     exits = (k_all < lo) | (k_all > hi)
     return Remark2Report(
         radii=r,

@@ -538,16 +538,17 @@ class TestVoidProbabilityMc:
         assert est.value > floor - 3.0 * est.se
         assert est.value < 0.1816  # below the no-shadowing level
 
-    def test_divergent_moment_warns(self):
-        cp = ChannelParams(m=0.4, mu=0.0, sigma2=0.0, alpha=4.0)
-        with pytest.warns(UserWarning, match="diverges"):
-            void_probability_mc(50.0, 100.0, cp, WeightLaw.unit(), 2,
-                                SimulationWindow(side=2.0), seed=3)
-        # m > 2/alpha, but the moments overflow the float range
-        overflow = ChannelParams(m=1.0, mu=0.0, sigma2=1e4, alpha=4.0)
-        with pytest.warns(UserWarning, match="diverges .*float range"):
-            void_probability_mc(50.0, 100.0, overflow, WeightLaw.unit(), 2,
-                                SimulationWindow(side=2.0), seed=3)
+    @pytest.mark.parametrize("cp", [
+        ChannelParams(m=0.4, mu=0.0, sigma2=0.0, alpha=4.0),  # m <= 2/alpha
+        ChannelParams(m=1.0, mu=0.0, sigma2=1e4, alpha=4.0),  # moments past the float range
+    ])
+    def test_divergent_moment_estimates_silently_above_floor(self, cp):
+        # The estimate holds for any zeta-dagger; only harness.validate warns.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = void_probability_mc(50.0, 100.0, cp, WeightLaw.unit(), 2,
+                                      SimulationWindow(side=2.0), seed=3)
+        assert est.value > math.exp(-2.0) - 3.0 * est.se
 
     def test_reps_validated(self):
         with pytest.raises(ValueError):

@@ -193,10 +193,10 @@ class TestThinning:
             window=SimulationWindow(side=1.645), models=MODELS,
         )
         assert len(rows) == 3
-        assert {r.model for r in rows} == set(MODELS)
+        assert {r["model"] for r in rows} == set(MODELS)
         for r in rows:
-            assert r.ci_low <= r.coverage <= r.ci_high
-            assert r.lambda_b == pytest.approx(185.0)
+            assert r["ci_low"] <= r["coverage"] <= r["ci_high"]
+            assert r["lambda_b"] == pytest.approx(185.0)
 
 
 class TestCoupledSweep:
@@ -226,15 +226,15 @@ class TestCoupledSweep:
                               seed=47, window=window)
         [(sirs, tie)] = sir_samples((2.0,), 370.0, RAYLEIGH, WeightLaw.unit(), 30, window, seed=47)
         for row in rows:
-            assert row.coverage == float(np.mean(sirs[row.model] >= 0.8))
-            assert row.near_tie_fraction == tie
+            assert row["coverage"] == float(np.mean(sirs[row["model"]] >= 0.8))
+            assert row["near_tie_fraction"] == tie
 
     def test_top_ratio_rows_equal_its_own_sweep(self):
         window = SimulationWindow(side=1.645)
         args = (370.0, RAYLEIGH, WeightLaw.nearest())
         grid = coverage_sweep((0.5, 2.0), *args, beta=0.8, reps=25, seed=48, window=window)
         alone = coverage_sweep((2.0,), *args, beta=0.8, reps=25, seed=48, window=window)
-        assert [r for r in grid if r.ratio == 2.0] == alone
-        by_ratio = {(r.ratio, r.model): r.coverage for r in grid}
+        assert [r for r in grid if r["ratio"] == 2.0] == alone
+        by_ratio = {(r["ratio"], r["model"]): r["coverage"] for r in grid}
         assert by_ratio[(0.5, ALL_BS)] == by_ratio[(2.0, ALL_BS)]
-        assert [r.lambda_b for r in grid if r.model == ALL_BS] == [740.0, 185.0]
+        assert [r["lambda_b"] for r in grid if r["model"] == ALL_BS] == [740.0, 185.0]

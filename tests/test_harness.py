@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import typing
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,19 @@ class TestValidate:
     def test_undersized_window(self):
         cfg = ExperimentConfig(experiment="void-prob", ratio_grid=(2.0,), side=0.5)
         assert any("expected counts below" in d for d in validate(cfg))
+
+    @pytest.mark.parametrize("cfg", [
+        dict(experiment="formulas", side=1.0),  # draws no window
+        dict(experiment="conservation-check", side=2.0, reps=2),
+        dict(experiment="bounds-check", side=3.0, reps=2),  # 555 stations at ratio 6
+    ])
+    def test_only_drawn_windows_are_judged(self, cfg):
+        assert validate(ExperimentConfig(**cfg)) == []
+
+    def test_bounds_check_judged_at_its_own_top_ratio(self):
+        [warning] = validate(ExperimentConfig(experiment="bounds-check", side=2.0, reps=2))
+        assert "expected counts below 500" in warning
+        assert "at ratio 6.0" in warning and "at ratio 8.0" not in warning
 
     def test_unknown_experiment(self):
         cfg = ExperimentConfig(experiment="tea-leaves")
@@ -564,6 +578,16 @@ class TestRunExperiments:
         assert isinstance(payload["metadata"]["config.alpha"], float)
         assert isinstance(payload["rows"][0]["p_void_rca"], float)
 
+    def test_json_is_strict_for_non_finite_values(self, tmp_path):
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        out = tmp_path / "f.json"
+        run(ExperimentConfig(experiment="formulas", law="unit", m=0.4, fmt="json", out=str(out)))
+        payload = json.loads(out.read_text(), parse_constant=refuse)
+        assert payload["metadata"]["result.zeta_dagger"] == "inf"
+        assert all(row["rho"] == "inf" for row in payload["rows"])
+
     def test_fatal_config_refuses_to_run(self, tmp_path):
         cfg = ExperimentConfig(experiment="void-prob", lambda_b=0.0, out=str(tmp_path / "x.csv"))
         with pytest.raises(ConfigError):
@@ -610,6 +634,16 @@ class TestCli:
         code = cli_main(["validate", "--law", "unit", "--m", "0.4", "--alpha", "4"])
         assert code == 0
         assert "zeta-dagger divergent" in capsys.readouterr().out
+
+    def test_divergent_run_warns_once(self, tmp_path, capsys):
+        argv = ["void-prob", "--law", "unit", "--m", "0.4", "--ratio-grid", "2", "--reps", "3",
+                "--out", str(tmp_path / "v.csv")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main(argv) == 0
+        assert caught == []
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).count("zeta-dagger divergent") == 1
 
     def test_validate_fatal_exit_two(self, capsys):
         code = cli_main(["validate", "--lambda-b", "0"])

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from voidnet.association import void_probability_mc
 from voidnet.channel import ChannelParams, WeightLaw
 from voidnet.geometry import SimulationWindow, pairwise_distances
 from voidnet.pointprocess import PointPattern, rep_rng, sample_ppp
@@ -247,6 +248,16 @@ class TestRemark2:
                               n_envelope=39)
         assert report.uninformative
         assert report.void_fraction < 0.01
+
+    @pytest.mark.parametrize("cp, law", [
+        (RAYLEIGH, WeightLaw.nearest()),
+        (ChannelParams(m=1.0, mu=0.0, sigma2=0.7, alpha=4.0), WeightLaw.unit()),
+    ])
+    def test_void_fraction_is_void_prob_estimate(self, cp, law):
+        window = SimulationWindow(side=1.2)
+        report = remark2_test(370.0, 185.0, cp, law, 4, window, seed=39, n_envelope=39)
+        est = void_probability_mc(370.0, 185.0, cp, law, 4, window, seed=39)
+        assert report.void_fraction == est.value
 
     def test_strong_thinning_exits_envelope(self):
         window = SimulationWindow(side=1.2)
