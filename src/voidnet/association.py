@@ -33,6 +33,14 @@ dense criterion.  The y* that minimises P(D) is tabulated once per
 threshold is rounded down to that grid, which keeps D dominating.  A
 winner from a ring has its Y split into weight and shadowing by their
 normal law given Y, so ``serving_gain`` keeps its law.
+
+One such draw holds O(users + stations) memory at once.  What grows with
+the window is the near block's W and H, about 54 links per user, which
+are freed before the far rings are thinned; then per-user best and
+runner-up, the (user, ring) pairs that drew a candidate, and the
+candidates.  The far rings' counts, thresholds and Binomial draws are
+formed ``_NEAR_CHUNK_USERS`` users at a time, and a ring's cell table is
+built once per distinct (cell, ring) among the pairs.
 """
 
 from __future__ import annotations
@@ -61,7 +69,8 @@ GRID_CELL_STATIONS = 2.0
 # Chebyshev radius s, in cells, of the near block whose links are all drawn.
 NEAR_BLOCK_RADIUS = 2
 
-# Users whose near-block links form one chunk of geometry at a time.
+# Users whose near-block geometry, and whose far-ring counts and
+# thresholds, are formed one chunk at a time.
 _NEAR_CHUNK_USERS = 512
 
 # Log-spaced thresholds in each (channel, law)'s table of optimised
@@ -282,6 +291,12 @@ class _CellGrid:
         by_ring = np.argsort(ring_of, kind="stable")
         self.ring_first = np.searchsorted(ring_of[by_ring], np.arange(g // 2 + 2))
         self.di, self.dj = np.divmod(by_ring, g)
+        # Station counts of the grid tiled 3 x 3, summed over every box
+        # from the top left corner: any box of at most g x g cells around
+        # a cell is four reads of it.
+        tiled = np.tile(self.counts.reshape(g, g), (3, 3))
+        self.prefix = np.zeros((3 * g + 1, 3 * g + 1), dtype=self.counts.dtype)
+        self.prefix[1:, 1:] = tiled.cumsum(axis=0).cumsum(axis=1)
 
     def xy_of(self, points) -> np.ndarray:
         return np.minimum((points / self.cell_side).astype(np.intp), self.g - 1)
@@ -314,21 +329,19 @@ class _CellGrid:
         return (rings - 1 + edge[:, None]) * self.cell_side
 
     def ring_counts(self, centres, rings) -> np.ndarray:
-        """(len(centres), len(rings)) station counts of each ring around each centre cell."""
-        g = self.g
-        prefix = np.zeros((3 * g + 1, 3 * g + 1), dtype=self.counts.dtype)
-        prefix[1:, 1:] = np.tile(self.counts.reshape(g, g), (3, 3)).cumsum(axis=0).cumsum(axis=1)
-        line = np.arange(g)
+        """(len(centres), len(rings)) station counts of each ring around each centre cell.
 
-        def box(k):  # stations within Chebyshev cell distance k, each cell once
-            if 2 * k + 1 >= g:
-                return np.full(g * g, self.n_b)
-            lo, hi = line + g - k, line + g + k + 1
-            return (prefix[np.ix_(hi, hi)] - prefix[np.ix_(lo, hi)]
-                    - prefix[np.ix_(hi, lo)] + prefix[np.ix_(lo, lo)]).ravel()
-
-        boxes = np.array([box(k)[centres] for k in range(rings[0] - 1, rings[-1] + 1)]
-                         if len(rings) else np.zeros((1, len(centres)), dtype=np.intp))
+        Reads the box prefix table at the given centres only, four corners
+        per box, so it costs O(len(centres) * len(rings)) at any grid size.
+        """
+        g, prefix = self.g, self.prefix
+        cx, cy = np.divmod(centres, g)
+        # Boxes of Chebyshev cell radius k, each cell once.
+        k = (np.arange(rings[0] - 1, rings[-1] + 1) if len(rings)
+             else np.zeros(1, dtype=np.intp))[:, None]
+        lo_x, hi_x, lo_y, hi_y = cx + g - k, cx + g + k + 1, cy + g - k, cy + g + k + 1
+        boxes = prefix[hi_x, hi_y] - prefix[lo_x, hi_y] - prefix[hi_x, lo_y] + prefix[lo_x, lo_y]
+        boxes[2 * k[:, 0] + 1 >= g] = self.n_b
         return np.diff(boxes, axis=0).T
 
     def pick(self, rng, centre_xy, ring, n, drawn):
@@ -339,10 +352,18 @@ class _CellGrid:
         numbered 0 .. n[i] - 1 cell by cell; each pick draws a number
         uniformly and a repeated one is drawn again, which is invariant
         under renumbering, so uniform over subsets for any drawn[i] <= n[i].
+        The ring's cell table is built once per distinct (centre cell, ring)
+        among the pairs, which many pairs share; each number is drawn in its
+        pair's own range and shifted into its table's range for the lookup.
         """
-        start = self.ring_first[ring]
-        size = self.ring_first[ring + 1] - start
-        cells = self.cells_at(np.repeat(centre_xy, size, axis=0), _ranges(start, size))
+        g = self.g
+        key, key_pair, key_of = np.unique((centre_xy[:, 0] * g + centre_xy[:, 1]) * (g + 1) + ring,
+                                          return_index=True, return_inverse=True)
+        key_cell, key_ring = np.divmod(key, g + 1)
+        start = self.ring_first[key_ring]
+        size = self.ring_first[key_ring + 1] - start
+        cells = self.cells_at(np.repeat(np.stack(np.divmod(key_cell, g), axis=1), size, axis=0),
+                              _ranges(start, size))
         held = self.counts[cells]
         ends = np.cumsum(held)
         base = np.cumsum(n) - n
@@ -356,6 +377,8 @@ class _CellGrid:
             repeat = by_at[1:][at[by_at[1:]] == at[by_at[:-1]]]
             at[repeat] = -1
             pending = np.sort(repeat)
+        key_n = n[key_pair]
+        at += ((np.cumsum(key_n) - key_n)[key_of] - base)[picker]
         cell = np.searchsorted(ends, at, side="right")
         return picker, self.by_cell[self.first[cells[cell]] + at - (ends[cell] - held[cell])]
 
@@ -364,7 +387,10 @@ def _thinned_association(bs, users, cp, law, rng):
     """The unit and log-normal laws' association (see :func:`associate`).
 
     Returns (assignments, serving distance, serving gain, near tie), one
-    entry per user.
+    entry per user.  Holds at once the near block's link-level W and H
+    (dropped once each user's near winner and its gain are known), a few
+    per-user arrays, one chunk of (user, ring) counts and thresholds, and
+    the pairs that drew a far candidate with their candidates.
     """
     n_b, n_u = len(bs), len(users)
     grid = _CellGrid(bs)
@@ -403,24 +429,37 @@ def _thinned_association(bs, users, cp, law, rng):
             criterion, station, chunk_len, n_b)
         best_link[chunk] = top + links.start
 
+    # Only the near winners' gains outlive the near block; its link-level
+    # draws go before any far-ring table exists.  (A user with no near link
+    # never stays near: every far station is then a candidate.)
+    best_gain = gains[best_link] if n_links else np.zeros(n_u)
+    del weights, gains, block_stations
+
     # Far rings k > s, thinned by the dominating event of their threshold.
     # W * H = Y * G / m, with ln Y ~ N(mu, sigma^2) and G ~ StandardGamma(m).
+    # The Binomial counts are drawn ``_NEAR_CHUNK_USERS`` users at a time, in
+    # the (user, ring) order of one whole-window draw, and only the pairs
+    # that drew a station are kept.
     m, mu, sigma = cp.m, cp.mu + law.mu_w, math.sqrt(cp.sigma2 + law.sigma2_w)
     log_c_table, log_y_table, p_y_table, p_g_table = _threshold_table(m, mu, sigma)
     rings = np.arange(NEAR_BLOCK_RADIUS + 1, grid.g // 2 + 1)
-    ring_n = grid.ring_counts(user_cell, rings)
-    with np.errstate(divide="ignore"):
-        log_c = (math.log1p(-NEAR_TIE_RTOL) + np.log(np.maximum(best, 0.0))[:, None]
-                 + cp.alpha * np.log(grid.ring_reach(users.points, rings)))
-    entry = np.searchsorted(log_c_table, log_c, side="right") - 1
-    p_y, p_g = p_y_table[entry], p_g_table[entry]
-    drawn = rng.binomial(ring_n, p_y + p_g - p_y * p_g)
+    kept = [(np.zeros(0, dtype=np.intp),) * 5]  # so that no users concatenates to empty pairs
+    for lo in range(0, n_u, _NEAR_CHUNK_USERS):
+        chunk = slice(lo, lo + _NEAR_CHUNK_USERS)
+        ring_n = grid.ring_counts(user_cell[chunk], rings)
+        with np.errstate(divide="ignore"):
+            log_c = (math.log1p(-NEAR_TIE_RTOL) + np.log(np.maximum(best[chunk], 0.0))[:, None]
+                     + cp.alpha * np.log(grid.ring_reach(users.points[chunk], rings)))
+        entry = np.searchsorted(log_c_table, log_c, side="right") - 1
+        p_y, p_g = p_y_table[entry], p_g_table[entry]
+        drawn = rng.binomial(ring_n, p_y + p_g - p_y * p_g)
+        user, ring = np.nonzero(drawn)
+        kept.append((user + lo, ring, ring_n[user, ring], drawn[user, ring], entry[user, ring]))
+    pair_user, pair_ring, pair_n, pair_drawn, pair_entry = map(np.concatenate, zip(*kept))
 
-    pairs = np.flatnonzero(drawn)
-    pair_user, pair_ring = np.divmod(pairs, len(rings))
-    cand_pair, cand_station = grid.pick(rng, user_xy[pair_user], rings[pair_ring],
-                                        ring_n.ravel()[pairs], drawn.ravel()[pairs])
-    cand_entry = entry.ravel()[pairs[cand_pair]]
+    cand_pair, cand_station = grid.pick(rng, user_xy[pair_user], rings[pair_ring], pair_n,
+                                        pair_drawn)
+    cand_entry = pair_entry[cand_pair]
     ln_y, gamma = _draw_dominating(log_y_table[cand_entry], p_y_table[cand_entry],
                                    p_g_table[cand_entry], m, mu, sigma,
                                    rng.random((len(cand_pair), 3)))
@@ -440,7 +479,7 @@ def _thinned_association(bs, users, cp, law, rng):
 
     serving_distance, serving_gain = np.empty(n_u), np.empty(n_u)
     serving_distance[near] = np.hypot(*deltas(user_x[near], user_y[near], best_station[near]))
-    serving_gain[near] = gains[best_link[near]]
+    serving_gain[near] = best_gain[near]
     won = cand_top[far]
     ln_x = ln_y[won]
     if law.kind == LOGNORMAL and sigma > 0:

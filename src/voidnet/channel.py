@@ -113,8 +113,13 @@ class WeightLaw:
         are a read-only broadcast view, not an allocated array.
         """
         if self.kind == LOGNORMAL:
-            return np.exp(rng.normal(self.mu_w, math.sqrt(self.sigma2_w), size=size))
+            w = np.asarray(rng.normal(self.mu_w, math.sqrt(self.sigma2_w), size=size))
+            return np.exp(w, out=w)
         return np.broadcast_to(1.0, size)
+
+
+# Standard-gamma draws that sample_gain holds at once beside its gains.
+_GAMMA_CHUNK = 65_536
 
 
 def sample_gain(cp: ChannelParams, rng: np.random.Generator, size=None):
@@ -124,13 +129,18 @@ def sample_gain(cp: ChannelParams, rng: np.random.Generator, size=None):
     Gamma(m, X/m) is drawn as (X/m) * StandardGamma(m), which is how
     NumPy draws ``gamma(m, scale)``, so the stream and the values are
     those of ``rng.gamma(shape=m, scale=X/m)``, with no scale array.
+    The standard-gamma factors are drawn and multiplied in
+    ``_GAMMA_CHUNK`` at a time; NumPy fills them one draw after another,
+    so the chunks leave the values and the stream unchanged.
     Returns a float for ``size=None``, else an ndarray.
     """
-    x = np.asarray(rng.normal(cp.mu, math.sqrt(cp.sigma2), size=size))
-    np.exp(x, out=x)
-    x /= cp.m
-    h = rng.standard_gamma(cp.m, size=size)
-    h *= x
+    h = np.asarray(rng.normal(cp.mu, math.sqrt(cp.sigma2), size=size))
+    np.exp(h, out=h)
+    h /= cp.m
+    flat = h.reshape(-1)
+    for lo in range(0, flat.size, _GAMMA_CHUNK):
+        part = flat[lo:lo + _GAMMA_CHUNK]
+        part *= rng.standard_gamma(cp.m, size=part.size)
     if size is None:
         return float(h)
     return h

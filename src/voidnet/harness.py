@@ -60,9 +60,13 @@ from .spatialstats import remark2_test
 
 MIN_EXPECTED_POINTS = 500.0
 
-# Most stations, and most users, one replication's window may expect.  At
-# 10^6 users the thinned kernel holds about 54 near links per user, about
-# 0.9 GB per drawing thread.
+# Most stations, and most users, one replication's window may expect.  A
+# thinned-kernel (unit or log-normal law) draw's memory is linear in the
+# window: at 255,000 users and 32,000 stations (ratio 8, 8 dB) one draw
+# raised peak RSS by 132 MB under the unit law and 239 MB under
+# lognormal:0,4, about 0.5 and 0.95 kB per user, so about 1 GB per drawing
+# thread at 10^6 users (not run).  What grows with the window is the near
+# block's W and H, about 54 links per user.
 MAX_WINDOW_POINTS = 1_000_000
 
 # Fewest stations (remark2: non-void ones) a replication's window may

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -321,6 +322,28 @@ class TestDominatingEvent:
         assert p_table[-1] < 1e-14
 
 
+def reference_pick(grid, rng, centre_xy, ring, n, drawn):
+    """``_CellGrid.pick`` with one ring-cell table per pair, the reference for its shared tables."""
+    start = grid.ring_first[ring]
+    size = grid.ring_first[ring + 1] - start
+    cells = grid.cells_at(np.repeat(centre_xy, size, axis=0), association._ranges(start, size))
+    held = grid.counts[cells]
+    ends = np.cumsum(held)
+    base = np.cumsum(n) - n
+    picker = np.repeat(np.arange(len(n)), drawn)
+    at = np.full(len(picker), -1)
+    pending = np.arange(len(picker))
+    while len(pending):
+        i = picker[pending]
+        at[pending] = base[i] + (rng.random(len(pending)) * n[i]).astype(np.intp)
+        by_at = np.argsort(at, kind="stable")
+        repeat = by_at[1:][at[by_at[1:]] == at[by_at[:-1]]]
+        at[repeat] = -1
+        pending = np.sort(repeat)
+    cell = np.searchsorted(ends, at, side="right")
+    return picker, grid.by_cell[grid.first[cells[cell]] + at - (ends[cell] - held[cell])]
+
+
 class TestThinnedGrid:
     """The cell grid of the thinned kernel, at its edge cases."""
 
@@ -367,6 +390,42 @@ class TestThinnedGrid:
                                   ring_n[user, ring])
         gap = distances_to_point(users[user[pair]], stations[station], window)
         assert np.all(gap >= reach[user[pair], ring[pair]] * (1.0 - 1e-12))
+
+    @staticmethod
+    def assert_pick_is_reference(grid, seed, pair_cell, ring_index):
+        rings = np.arange(NEAR_BLOCK_RADIUS + 1, grid.g // 2 + 1)
+        n = grid.ring_counts(pair_cell, rings)[np.arange(len(pair_cell)), ring_index]
+        keep = n > 0
+        pair_cell, ring, n = pair_cell[keep], rings[ring_index[keep]], n[keep]
+        drawn = 1 + np.random.default_rng(seed).integers(0, n)
+        centre_xy = np.stack(np.divmod(pair_cell, grid.g), axis=1)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = grid.pick(rng, centre_xy, ring, n, drawn)
+        want = reference_pick(grid, ref_rng, centre_xy, ring, n, drawn)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @given(st.integers(72, 400), st.integers(1, 4), st.integers(1, 80), st.integers(0, 2**32 - 1))
+    def test_pick_shares_ring_tables_exactly(self, n_b, n_cells, n_pairs, seed):
+        # Many pairs on a few (cell, ring) keys share one ring-cell table;
+        # the picks must be those of one table per pair, draw for draw.
+        rng = np.random.default_rng(seed)
+        grid = _CellGrid(pattern(rng.uniform(0.0, 10.0, (n_b, 2))))
+        n_rings = grid.g // 2 - NEAR_BLOCK_RADIUS
+        assume(n_rings > 0)
+        cells = rng.choice(grid.g**2, n_cells)
+        self.assert_pick_is_reference(grid, seed, cells[rng.integers(0, n_cells, n_pairs)],
+                                      rng.integers(0, min(n_rings, 2), n_pairs))  # 2 rings at most
+
+    @given(st.integers(72, 400), st.integers(0, 2**32 - 1))
+    def test_pick_on_distinct_cells_is_exact(self, n_b, seed):
+        rng = np.random.default_rng(seed)
+        grid = _CellGrid(pattern(rng.uniform(0.0, 10.0, (n_b, 2))))
+        n_rings = grid.g // 2 - NEAR_BLOCK_RADIUS
+        assume(n_rings > 0)
+        cells = rng.permutation(grid.g**2)
+        self.assert_pick_is_reference(grid, seed, cells, rng.integers(0, n_rings, len(cells)))
 
     def test_picks_are_distinct_and_uniform(self):
         rng = np.random.default_rng(21)
@@ -429,10 +488,12 @@ class TestThinnedGrid:
 
     @given(st.integers(1, 400), st.sampled_from([0, 1, 6, 7, 8, 13, 14, 15, 511, 512, 513]),
            st.integers(0, 2**32 - 1), st.sampled_from(["unit", "lognormal"]))
+    @example(400, 513, 20, "lognormal")  # far candidates drawn in both 512-user chunks
     def test_chunked_near_block_is_exact(self, n_b, n_u, seed, kind):
-        # The near block's geometry is formed a chunk of users at a time; the
-        # outcome must not depend on the chunk size, on either side of a
-        # chunk edge, down to one user per chunk.
+        # The near block's geometry and the far rings' Binomial counts are
+        # formed a chunk of users at a time; the outcome and the stream must
+        # not depend on the chunk size, on either side of a chunk edge, down
+        # to one user per chunk.
         rng = np.random.default_rng(seed)
         window = SimulationWindow(side=float(rng.uniform(0.5, 20.0)))
         bs = pattern(rng.uniform(0.0, window.side, (n_b, 2)), window=window)
@@ -446,6 +507,30 @@ class TestThinnedGrid:
             for field in dataclasses.fields(AssociationOutcome):
                 a, b = getattr(outcomes[0], field.name), getattr(out, field.name)
                 assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+
+
+class TestThinnedMemory:
+    def test_peak_per_user_is_bounded_and_does_not_grow(self):
+        # One log-normal draw at 8 dB, ratio 8, holds the near block's W and
+        # H (about 54 links per user) and per-user scalars.  Tables of
+        # (user, ring) pairs or of ring cells per pair would show as a
+        # per-user peak that grows with the window.
+        law = WeightLaw.lognormal(0.0, 4.0)
+        per_user = []
+        for side in (3.288, 6.576):  # about 4,000 and 16,000 users
+            rng = rep_rng(1, 0)
+            window = SimulationWindow(side=side)
+            bs, users = sample_ppp(370.0 / 8.0, window, rng), sample_ppp(370.0, window, rng)
+            associate(bs, users, SHADOWED, law, np.random.default_rng(0))  # caches the table
+            tracemalloc.start()
+            try:
+                associate(bs, users, SHADOWED, law, rng)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            per_user.append(peak / len(users))
+        assert per_user[1] <= 2000.0, per_user
+        assert per_user[1] <= per_user[0], per_user
 
 
 class TestStationCounts:

@@ -8,6 +8,7 @@ from scipy.special import gammaln
 from voidnet.channel import (
     SIGMA2_IN_DB,
     SIGMA_IN_DB,
+    _GAMMA_CHUNK,
     ChannelParams,
     WeightLaw,
     fractional_moment,
@@ -205,7 +206,9 @@ def reference_gain(cp, rng, size=None):
 
 
 class TestSampleGainReference:
-    @pytest.mark.parametrize("size", [None, 1, 257, (3, 5), (0, 4)])
+    # The last two sizes span several chunks of standard-gamma factors.
+    @pytest.mark.parametrize("size", [None, 1, 257, (3, 5), (0, 4),
+                                      2 * _GAMMA_CHUNK + 3, (3, _GAMMA_CHUNK + 1)])
     @pytest.mark.parametrize("sigma2", [0.0, 3.39])
     @pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 3.7])
     def test_same_values_and_stream(self, m, sigma2, size):
