@@ -525,12 +525,10 @@ def _replication_cells(
 ) -> np.ndarray:
     """Per-station user counts for one fresh replication.
 
-    A draw with no station contributes no cells; a window that
-    ``harness.validate`` accepts makes one vanishingly unlikely.
+    A draw with no station raises :func:`associate`'s ``ValueError``; a
+    window that ``harness.validate`` accepts makes one vanishingly unlikely.
     """
     bs = sample_ppp(lambda_b, window, rng)
-    if len(bs) == 0:
-        return np.zeros(0, dtype=int)
     return _station_counts(bs, sample_ppp(lambda_u, window, rng), cp, law, rng)
 
 

@@ -122,8 +122,8 @@ class WeightLaw:
 _GAMMA_CHUNK = 65_536
 
 
-def sample_gain(cp: ChannelParams, rng: np.random.Generator, size=None):
-    """Draw composite gains H = Gamma(m, X/m) with log-normal X.
+def sample_gain(cp: ChannelParams, rng: np.random.Generator, size) -> np.ndarray:
+    """Draw an array of ``size`` composite gains H = Gamma(m, X/m) with log-normal X.
 
     Exact two-stage composition; no quadrature in the sampling path.
     Gamma(m, X/m) is drawn as (X/m) * StandardGamma(m), which is how
@@ -132,17 +132,14 @@ def sample_gain(cp: ChannelParams, rng: np.random.Generator, size=None):
     The standard-gamma factors are drawn and multiplied in
     ``_GAMMA_CHUNK`` at a time; NumPy fills them one draw after another,
     so the chunks leave the values and the stream unchanged.
-    Returns a float for ``size=None``, else an ndarray.
     """
-    h = np.asarray(rng.normal(cp.mu, math.sqrt(cp.sigma2), size=size))
+    h = rng.normal(cp.mu, math.sqrt(cp.sigma2), size=size)
     np.exp(h, out=h)
     h /= cp.m
     flat = h.reshape(-1)
     for lo in range(0, flat.size, _GAMMA_CHUNK):
         part = flat[lo:lo + _GAMMA_CHUNK]
         part *= rng.standard_gamma(cp.m, size=part.size)
-    if size is None:
-        return float(h)
     return h
 
 

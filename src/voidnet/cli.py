@@ -65,8 +65,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--law", help="association weighting: nearest | unit | lognormal:MU,SIGMA2"
     )
     parser.add_argument("--beta", type=float, help="SIR threshold (coverage)")
-    parser.add_argument("--model", help=f"coverage interference model: {' | '.join(MODELS)} "
-                                         "(default: all three)")
+    parser.add_argument("--model", help=f"coverage interference model: {' | '.join(MODELS)}; "
+                                         "every model is drawn on each replication, and this "
+                                         "keeps that model's rows (default: all three)")
     parser.add_argument("--reps", type=int, help="replications / suites (default: auto)")
     parser.add_argument("--sets", type=int, help="parameter sets for bounds-check (default 50)")
     parser.add_argument("--side", type=_side,

@@ -9,10 +9,10 @@ probability ("thinned-ppp").
 
 :func:`sir_samples` is the one sampler: a replication draws and
 associates one network at the largest ratio of a grid, and
-:func:`sample_realization` reads every ratio and model off that draw as
-one (ratio, model) SIR array, from interferer powers computed once.
-:func:`coverage_sweep` thresholds the SIRs at beta and adds Wilson
-intervals.
+:func:`sample_realization` reads every ratio and all models off that
+draw as one (ratio, model) SIR array, from interferer powers computed
+once.  :func:`coverage_sweep` thresholds the SIRs at beta and adds Wilson
+intervals; a caller that wants one model keeps its rows.
 """
 
 from __future__ import annotations
@@ -60,12 +60,11 @@ def sample_realization(
     rng: np.random.Generator,
     keep_probs,
     retain=(1.0,),
-    models: tuple[str, ...] = MODELS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One network draw seen from the typical user at the window centre.
 
     Returns ``(sir, tie)``: ``sir[j, k]`` is the typical user's SIR under
-    ``models[k]`` at user retention ``retain[j]``, and ``tie[j]`` the
+    ``MODELS[k]`` at user retention ``retain[j]``, and ``tie[j]`` the
     association near-tie fraction over the users kept there.  Other user
     u is kept at retention p iff U_u < p, with one uniform U_u per user,
     which is an independent p-thinning of the users; the typical user is
@@ -94,13 +93,13 @@ def sample_realization(
     signal = float(outcome.serving_gain[0]) * float(outcome.serving_distance[0]) ** (-cp.alpha)
     powers = other_gains * other_dist ** (-cp.alpha)
     kept = retention < np.asarray(retain)[:, None]
-    transmitting = {
-        ALL_BS: np.ones((len(kept), len(others)), dtype=bool),
-        VOID_AWARE: np.array([np.bincount(outcome.assignments[k], minlength=len(bs))[others] > 0
-                              for k in kept]),
-        THINNED_PPP: thinning < np.asarray(keep_probs)[:, None],
-    }
-    sir = np.column_stack([sir_at_typical_user(signal, powers, transmitting[m]) for m in models])
+    transmitting = (  # in MODELS order
+        np.ones((len(kept), len(others)), dtype=bool),
+        np.array([np.bincount(outcome.assignments[k], minlength=len(bs))[others] > 0
+                  for k in kept]),
+        thinning < np.asarray(keep_probs)[:, None],
+    )
+    sir = np.column_stack([sir_at_typical_user(signal, powers, mask) for mask in transmitting])
     return sir, (kept & outcome.near_tie).sum(axis=1) / kept.sum(axis=1)
 
 
@@ -112,7 +111,6 @@ def sir_samples(
     reps: int,
     window: SimulationWindow,
     seed: int,
-    models: tuple[str, ...] = MODELS,
 ) -> list[tuple[dict[str, np.ndarray], float]]:
     """Per grid ratio: SIR draws by model and the mean near-tie fraction.
 
@@ -120,29 +118,25 @@ def sir_samples(
     stations at lambda_u / r_top and users at lambda_u on ``window``, and
     associates it once; ratio r keeps each user with probability r / r_top.
     :func:`sample_realization` returns the replication's SIRs as one
-    (ratio, model) array.  The SIR depends on the intensities only
-    through their ratio, so that is the network at lambda_b = lambda_u / r.
+    (ratio, model) array over all of ``MODELS``.  The SIR depends on the
+    intensities only through their ratio, so that is the network at
+    lambda_b = lambda_u / r.
     The models differ only in which interferers transmit, so on shared
     draws dominance comparisons are exact: the void-aware SIR is never
     below the all-bs SIR, which is the same at every ratio of a draw.
-    An unknown model raises ``ValueError`` before any draw.
     """
-    unknown = [m for m in models if m not in MODELS]
-    if unknown:
-        raise ValueError(f"unknown interference model {unknown[0]!r}")
     ratios = grid_ratios(ratio_grid)
     r_top = max(ratios)
     keep_probs = [thinning_keep_probability(lambda_u / r, lambda_u, cp, law) for r in ratios]
     retain = [r / r_top for r in ratios]
 
     def draw(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        return sample_realization(lambda_u / r_top, lambda_u, cp, law, window, rng, keep_probs,
-                                  retain, models)
+        return sample_realization(lambda_u / r_top, lambda_u, cp, law, window, rng, keep_probs, retain)
 
     results = run_reps(draw, seed, reps)
     sirs = np.stack([sir for sir, _ in results], axis=1)
     ties = np.stack([tie for _, tie in results], axis=1)
-    return [(dict(zip(models, sir.T)), float(np.mean(tie))) for sir, tie in zip(sirs, ties)]
+    return [(dict(zip(MODELS, sir.T)), float(np.mean(tie))) for sir, tie in zip(sirs, ties)]
 
 
 def coverage_sweep(
@@ -154,7 +148,6 @@ def coverage_sweep(
     reps: int,
     window: SimulationWindow,
     seed: int,
-    models: tuple[str, ...] = MODELS,
 ) -> list[dict]:
     """P(SIR >= beta) with a Wilson interval, per grid ratio and model.
 
@@ -168,9 +161,8 @@ def coverage_sweep(
         raise ValueError(f"SIR threshold beta must be finite and > 0, got {beta}")
     ratios = grid_ratios(ratio_grid)
     rows = []
-    for ratio, (sirs, tie) in zip(ratios, sir_samples(ratios, lambda_u, cp, law, reps, window,
-                                                      seed, models)):
-        for m in models:
+    for ratio, (sirs, tie) in zip(ratios, sir_samples(ratios, lambda_u, cp, law, reps, window, seed)):
+        for m in MODELS:
             covered = float(np.mean(sirs[m] >= beta))
             lo, hi = wilson_interval(covered, reps)
             rows.append({"ratio": ratio, "lambda_b": lambda_u / ratio, "model": m, "beta": beta,

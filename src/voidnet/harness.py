@@ -49,6 +49,7 @@ from .channel import (
 from .coverage import MODELS, coverage_sweep
 from .geometry import SimulationWindow
 from .pointprocess import (
+    MIN_QUADRAT_GRID,
     csr_test,
     map_pattern,
     mark_expansion_factor,
@@ -56,7 +57,7 @@ from .pointprocess import (
     run_reps,
     sample_ppp,
 )
-from .spatialstats import remark2_test
+from .spatialstats import MIN_ENVELOPE, remark2_test
 
 MIN_EXPECTED_POINTS = 500.0
 
@@ -361,10 +362,10 @@ def validate(config: ExperimentConfig) -> list[str]:
         diags.append("sets must be >= 1")
     if config.seed < 0:
         diags.append("seed must be >= 0")
-    if config.grid < 2:
-        diags.append("quadrat grid must be >= 2")
-    if config.n_envelope < 39:
-        diags.append("n_envelope must be >= 39 for a 95% envelope")
+    if config.grid < MIN_QUADRAT_GRID:
+        diags.append(f"quadrat grid must be >= {MIN_QUADRAT_GRID}")
+    if config.n_envelope < MIN_ENVELOPE:
+        diags.append(f"n_envelope must be >= {MIN_ENVELOPE} for a 95% envelope")
     cp = _built(config.channel_params, diags)
     law = _built(config.weight_law, diags)
     marks = None
@@ -706,8 +707,8 @@ def _coverage_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
     reps = config.reps or _FIXED_REPS["coverage"]
     ratios = config.ratios()
     r_top, window = _grid_window(config, ratios)
-    rows = coverage_sweep(ratios, config.lambda_u, cp, law, config.beta, reps, window,
-                          config.seed, models)
+    rows = coverage_sweep(ratios, config.lambda_u, cp, law, config.beta, reps, window, config.seed)
+    rows = [row for row in rows if row["model"] in models]
     meta = {"models": ",".join(models), "r_top": r_top, "side_top": window.side,
             "reps": reps, "batches": 1}
     return rows, meta
@@ -757,14 +758,8 @@ EXPERIMENTS = tuple(_BODIES)
 
 
 def _format_value(v):
-    """CSV text of a value: floats as their exact ``repr``."""
-    if isinstance(v, (np.floating,)):
-        return repr(float(v))
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    return v
+    """CSV text of a value: floats (numpy's float64 among them) as their exact ``repr``."""
+    return repr(float(v)) if isinstance(v, float) else v
 
 
 def _metadata(config: ExperimentConfig, extra: dict) -> dict:
@@ -780,13 +775,6 @@ def _metadata(config: ExperimentConfig, extra: dict) -> dict:
     return meta
 
 
-def _json_number(v):
-    """Python number for a numpy scalar, which ``json`` cannot encode."""
-    if isinstance(v, np.generic):
-        return v.item()
-    raise TypeError(f"{type(v).__name__} is not JSON serializable")
-
-
 def _json_value(v):
     """``v``, or its CSV text (``inf``, ``nan``) for a non-finite float, which strict JSON lacks."""
     if isinstance(v, float) and not math.isfinite(v):
@@ -798,7 +786,7 @@ def write_rows(path: Path, fmt: str, rows: list[dict], metadata: dict) -> None:
     if fmt == "json":
         payload = {"metadata": {k: _json_value(v) for k, v in metadata.items()},
                    "rows": [{k: _json_value(v) for k, v in row.items()} for row in rows]}
-        path.write_text(json.dumps(payload, indent=2, default=_json_number, allow_nan=False) + "\n")
+        path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
         return
     with open(path, "w", newline="") as fh:
         for k, v in metadata.items():

@@ -36,8 +36,8 @@ def rep_rng(seed: int, index: int) -> np.random.Generator:
 # Sequential stopping gives up after this many batches of replications.
 MAX_SEQUENTIAL_BATCHES = 16
 
-# ``drawing`` is true on a thread while it draws for a parallel run_reps
-# call, so a draw's own run_reps call stays serial.
+# ``drawing`` is true on a thread while it draws for a run_reps call, so
+# a draw's own run_reps call stays serial.
 _this_thread = threading.local()
 
 
@@ -53,7 +53,8 @@ class _Claims:
     A thread that other load slows claims fewer.  Claims end at ``stop``:
     the end of the batch, lowered to the lowest index whose draw raised.
     Every index below the lowest failing one is claimed before it, so all
-    of those are drawn however the threads interleave.
+    of those are drawn however the threads interleave.  :meth:`run` marks
+    its thread as drawing, then puts back the mark that it found.
     """
 
     def __init__(self, lo: int, hi: int):
@@ -62,7 +63,7 @@ class _Claims:
         self.lock = threading.Lock()
 
     def run(self, draw, seed: int) -> None:
-        _this_thread.drawing = True
+        outer, _this_thread.drawing = getattr(_this_thread, "drawing", False), True
         try:
             for r in self.indices:
                 if r >= self.stop:
@@ -74,7 +75,7 @@ class _Claims:
                         self.errors[r] = error
                         self.stop = min(self.stop, r)
         finally:
-            _this_thread.drawing = False
+            _this_thread.drawing = outer
 
 
 def run_reps(draw, seed: int, reps: int, done=None) -> list:
@@ -87,31 +88,27 @@ def run_reps(draw, seed: int, reps: int, done=None) -> list:
     the streams, so stopping after k batches equals the fixed run of
     k * reps.  Raises :class:`RuntimeError` after ``MAX_SEQUENTIAL_BATCHES``.
 
-    Replications run on threads: this one and one pool thread per further
-    usable CPU (one pool serves all batches of the call) claim them one
-    index at a time.  numpy's large array loops and scipy's k-d-tree
-    queries release the GIL, so the draws overlap.  ``done`` sees the
-    results in index order, so the result and the stopping point do not
-    depend on who drew what, and the exception of the lowest failing index
-    reaches the caller as raised, after which no further index is claimed.
-    ``draw`` must be safe to call from several threads at once.  Runs stay
-    serial on one CPU, for ``reps == 1`` and within a draw of a parallel
-    run (so a nested call starts no pool).
+    Every batch is one :class:`_Claims` run: this thread and one pool
+    thread per further usable CPU (one pool serves all batches of the call)
+    claim replications one index at a time.  numpy's large array loops and
+    scipy's k-d-tree queries release the GIL, so the draws overlap.
+    ``done`` sees the results in index order, so the result and the
+    stopping point do not depend on who drew what, and the exception of the
+    lowest failing index reaches the caller as raised, after which no
+    further index is claimed.  ``draw`` must be safe to call from several
+    threads at once.  No pool opens on one CPU, for ``reps == 1`` or within
+    a draw of any run_reps call (so a nested call stays serial).
     Raises :class:`ValueError` for ``reps < 1`` before any draw.
     """
     if reps < 1:
         raise ValueError(f"need at least one replication, got reps={reps}")
     cpus = _usable_cpus()
-    if cpus < 2 or reps < 2 or getattr(_this_thread, "drawing", False):
-        pool = None
-    else:
-        pool = ThreadPoolExecutor(cpus - 1, thread_name_prefix="run_reps")
+    n_helpers = 0 if reps < 2 or getattr(_this_thread, "drawing", False) else cpus - 1
+    pool = ThreadPoolExecutor(n_helpers, thread_name_prefix="run_reps") if n_helpers else None
 
     def batch(lo: int, hi: int) -> list:
-        if pool is None:
-            return [draw(rep_rng(seed, r)) for r in range(lo, hi)]
         claims = _Claims(lo, hi)
-        helpers = [pool.submit(claims.run, draw, seed) for _ in range(cpus - 1)]
+        helpers = [pool.submit(claims.run, draw, seed) for _ in range(n_helpers)]
         claims.run(draw, seed)
         for helper in helpers:
             helper.result()
@@ -217,6 +214,9 @@ def mark_expansion_factor(mark_sampler, rng: np.random.Generator) -> float:
     return max(1.0, 1.0 / t_star)
 
 
+MIN_QUADRAT_GRID = 2  # the fewest quadrats per axis of csr_test
+
+
 @dataclass(frozen=True)
 class CsrReport:
     """Quadrat-count chi-square test report."""
@@ -239,8 +239,8 @@ def csr_test(pattern: PointPattern, grid: int) -> CsrReport:
     Requires at least 5 expected points per quadrat for the chi-square
     approximation to hold.
     """
-    if grid < 2:
-        raise ValueError("grid must be at least 2")
+    if grid < MIN_QUADRAT_GRID:
+        raise ValueError(f"grid must be at least {MIN_QUADRAT_GRID}")
     n = len(pattern)
     cells = grid * grid
     expected = n / cells

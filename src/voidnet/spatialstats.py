@@ -23,6 +23,7 @@ from .pointprocess import PointPattern, run_reps, sample_ppp
 MAX_RADIUS_FRACTION = 0.25
 
 MIN_POINTS = 10
+MIN_ENVELOPE = 39  # the fewest CSR realizations that make a 95% envelope
 
 
 def default_radii(window: SimulationWindow) -> np.ndarray:
@@ -81,12 +82,12 @@ def ppp_envelope(
     """Pointwise CSR envelope of K_hat at matched intensity.
 
     Takes the 2.5/97.5 percentiles over ``n_envelope`` fresh PPP
-    realizations (about a 5% pointwise exit rate for a true PPP).  At
-    least 39 realizations are required for a 95% envelope to make sense.
+    realizations (about a 5% pointwise exit rate for a true PPP), at
+    least ``MIN_ENVELOPE`` of them for a 95% envelope to make sense.
     Each is a plain PPP, so one below ``MIN_POINTS`` raises ValueError.
     """
-    if n_envelope < 39:
-        raise ValueError("need at least 39 envelope simulations for a 95% envelope")
+    if n_envelope < MIN_ENVELOPE:
+        raise ValueError(f"need at least {MIN_ENVELOPE} envelope simulations for a 95% envelope")
     r = np.atleast_1d(np.asarray(radii, dtype=float))
     if r.max() > window.side * MAX_RADIUS_FRACTION + 1e-12:
         raise ValueError("envelope radii must stay at or below side/4")

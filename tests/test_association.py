@@ -635,6 +635,14 @@ class TestVoidProbabilityMc:
                                       SimulationWindow(side=2.0), seed=3)
         assert est.value > math.exp(-2.0) - 3.0 * est.se
 
+    @pytest.mark.parametrize("law", [WeightLaw.nearest(), WeightLaw.unit()], ids=["nearest", "unit"])
+    @pytest.mark.parametrize("estimator", [void_probability_mc, cell_count_pmf_mc])
+    def test_empty_station_draw_raises(self, estimator, law):
+        # About 1e-9 expected stations: the draw is empty, and association
+        # refuses it here as it does in remark2 and coverage.
+        with pytest.raises(ValueError, match="at least one base station"):
+            estimator(1e-9, 100.0, RAYLEIGH, law, 2, SimulationWindow(side=1.0), seed=4)
+
     def test_reps_validated(self):
         with pytest.raises(ValueError):
             void_probability_mc(50.0, 100.0, RAYLEIGH, WeightLaw.nearest(), 0,

@@ -81,10 +81,6 @@ class TestSampleGain:
         se = h.std(ddof=1) / np.sqrt(len(h))
         assert abs(h.mean() - math.exp(0.5)) < 3.0 * se
 
-    def test_scalar_draw(self):
-        value = sample_gain(RAYLEIGH, np.random.default_rng(5))
-        assert isinstance(value, float) and value > 0
-
 
 class TestGainPdf:
     def test_normalization(self):
@@ -198,16 +194,16 @@ class TestZetaDagger:
         assert math.isinf(zeta_dagger(cp, WeightLaw.unit()))
 
 
-def reference_gain(cp, rng, size=None):
+def reference_gain(cp, rng, size):
     """Two-stage draw with the scale passed to ``rng.gamma`` as an array."""
     x = np.exp(rng.normal(cp.mu, math.sqrt(cp.sigma2), size=size))
-    h = rng.gamma(shape=cp.m, scale=x / cp.m, size=size)
-    return float(h) if size is None else h
+    return rng.gamma(shape=cp.m, scale=x / cp.m, size=size)
 
 
 class TestSampleGainReference:
-    # The last two sizes span several chunks of standard-gamma factors.
-    @pytest.mark.parametrize("size", [None, 1, 257, (3, 5), (0, 4),
+    # () is one draw with no axis; the last two sizes span several chunks of
+    # standard-gamma factors.
+    @pytest.mark.parametrize("size", [(), 1, 257, (3, 5), (0, 4),
                                       2 * _GAMMA_CHUNK + 3, (3, _GAMMA_CHUNK + 1)])
     @pytest.mark.parametrize("sigma2", [0.0, 3.39])
     @pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 3.7])
@@ -217,8 +213,6 @@ class TestSampleGainReference:
         for _ in range(3):
             h = sample_gain(cp, rng, size=size)
             expected = reference_gain(cp, ref_rng, size=size)
-            if size is None:
-                assert isinstance(h, float)
             assert np.array_equal(h, expected)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 

@@ -44,15 +44,6 @@ class TestSirAtTypicalUser:
         assert void_aware == pytest.approx(1.0 / 2.0**-4)
         assert math.isinf(thinned)
 
-    def test_unknown_model_rejected(self, monkeypatch):
-        def no_draws(*args, **kwargs):
-            raise AssertionError("drew a replication")
-
-        monkeypatch.setattr(coverage, "run_reps", no_draws)
-        with pytest.raises(ValueError):
-            sir_samples((2.0,), 370.0, RAYLEIGH, WeightLaw.nearest(), 2,
-                        SimulationWindow(side=1.0), seed=45, models=(ALL_BS, "everyone"))
-
 
 def record_sir_calls(monkeypatch) -> list:
     """Wrap ``sir_at_typical_user`` to keep (sir, powers, transmitting) per call."""
@@ -82,8 +73,8 @@ class TestSampleRealization:
         window = SimulationWindow(side=2.0)
         calls = record_sir_calls(monkeypatch)
         sample_realization(100.0, 0.0, RAYLEIGH, WeightLaw.nearest(),
-                           window, rep_rng(41, 0), keep_probs=(1.0,), models=(VOID_AWARE,))
-        [(sir, powers, transmitting)] = calls
+                           window, rep_rng(41, 0), keep_probs=(1.0,))
+        sir, powers, transmitting = calls[MODELS.index(VOID_AWARE)]
         assert len(powers) > 0
         assert not transmitting.any()
         assert math.isinf(sir[0])
@@ -167,19 +158,18 @@ class TestCoverageProbability:
         window = SimulationWindow(side=2.0)
         sirs = np.concatenate([
             sample_realization(150.0, 0.0, RAYLEIGH, WeightLaw.nearest(), window,
-                               rep_rng(44, r), keep_probs=(1.0,), models=(VOID_AWARE,))[0]
+                               rep_rng(44, r), keep_probs=(1.0,))[0][:, MODELS.index(VOID_AWARE)]
             for r in range(20)
         ])
         assert np.all(sirs >= beta)
 
     def test_config_validation(self):
-        # coverage_sweep rejects a threshold that is not finite and > 0, and an unknown model.
+        # coverage_sweep rejects a threshold that is not finite and > 0.
         window = SimulationWindow(side=1.0)
-        for beta, models in [(0.0, MODELS), (-1.0, MODELS), (math.nan, MODELS),
-                             (math.inf, MODELS), (1.0, ("nobody",))]:
+        for beta in [0.0, -1.0, math.nan, math.inf]:
             with pytest.raises(ValueError):
                 coverage_sweep((2.0,), 370.0, RAYLEIGH, WeightLaw.nearest(), beta, 2, window,
-                               seed=45, models=models)
+                               seed=45)
 
 
 class TestThinning:
@@ -190,7 +180,7 @@ class TestThinning:
     def test_sweep_rows(self):
         rows = coverage_sweep(
             (2.0,), 370.0, RAYLEIGH, WeightLaw.nearest(), beta=0.8, reps=40, seed=46,
-            window=SimulationWindow(side=1.645), models=MODELS,
+            window=SimulationWindow(side=1.645),
         )
         assert len(rows) == 3
         assert {r["model"] for r in rows} == set(MODELS)
@@ -211,13 +201,13 @@ class TestCoupledSweep:
             calls = record_sir_calls(mp)
             sir, _ = sample_realization(185.0, 370.0, RAYLEIGH, WeightLaw.unit(),
                                         SimulationWindow(side=1.2), rep_rng(seed, 0), keep_probs,
-                                        retain, models=(ALL_BS, VOID_AWARE))
-        all_bs, void_aware = sir.T
+                                        retain)
+        all_bs, void_aware, _ = sir.T
         assert len(set(all_bs)) == 1
         assert all(v >= a for v, a in zip(void_aware, all_bs))
         # kept users at a lower ratio are a subset of those at a higher one
         assert all(a >= b for a, b in zip(void_aware, void_aware[1:]))
-        nonvoid = calls[1][2]
+        nonvoid = calls[MODELS.index(VOID_AWARE)][2]
         assert all(np.all(a <= b) for a, b in zip(nonvoid, nonvoid[1:]))
 
     def test_single_ratio_equals_sir_samples(self):

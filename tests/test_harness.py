@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import json
 import math
@@ -587,6 +588,37 @@ class TestRunExperiments:
         payload = json.loads(out.read_text(), parse_constant=refuse)
         assert payload["metadata"]["result.zeta_dagger"] == "inf"
         assert all(row["rho"] == "inf" for row in payload["rows"])
+
+    # One tiny config per experiment, as in test_single_ratio_rows_pinned.
+    TINY = {
+        "void-prob": dict(reps=3),
+        "cell-pmf": dict(reps=3),
+        "bounds-check": dict(sets=3, reps=2),
+        "conservation-check": dict(reps=3, mark_law="deterministic:2"),
+        "remark2": dict(reps=3, n_envelope=39),
+        "coverage": dict(ratio_grid=(0.5, 2.0), reps=10),
+        "formulas": dict(law="unit", m=0.5),
+    }
+
+    @pytest.mark.parametrize("experiment", TINY)
+    def test_json_rows_are_strict_and_equal_the_csv(self, experiment, tmp_path):
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        paths = {}
+        for fmt in ("json", "csv"):
+            paths[fmt] = tmp_path / f"a.{fmt}"
+            run(ExperimentConfig(experiment=experiment, fmt=fmt, out=str(paths[fmt]),
+                                 **{"ratio_grid": (2.0,), **self.TINY[experiment]}))
+        rows = json.loads(paths["json"].read_text(), parse_constant=refuse)["rows"]
+        lines = [l for l in paths["csv"].read_text().splitlines() if not l.startswith("#")]
+        cells = list(csv.DictReader(lines))
+        assert rows and len(rows) == len(cells)
+        for row, cell in zip(rows, cells):
+            assert list(row) == list(cell)
+            assert {k: str(harness._format_value(v)) for k, v in row.items()} == cell
+            # and every float survives both files exactly
+            assert all(float(cell[k]) == v for k, v in row.items() if isinstance(v, float))
 
     def test_fatal_config_refuses_to_run(self, tmp_path):
         cfg = ExperimentConfig(experiment="void-prob", lambda_b=0.0, out=str(tmp_path / "x.csv"))

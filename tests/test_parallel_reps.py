@@ -253,6 +253,16 @@ class TestRunReps:
             assert [t for t, _ in inner] == [thread] * 3  # in the outer draw's own thread
         assert len(cpus.pools) == 1  # no inner call opened a pool
 
+    def test_nested_call_of_a_one_rep_run_stays_serial(self, cpus):
+        # The one replication is drawn like any batch, so the draw is marked
+        # as drawing and its own run_reps call opens no pool either.
+        cpus(2)
+        before = getattr(pointprocess._this_thread, "drawing", False)
+        [inner] = run_reps(lambda rng: run_reps(thread_draw, 64, 3), 68, 1)
+        assert inner == [(threading.get_ident(), rep_rng(64, r).random()) for r in range(3)]
+        assert not cpus.pools
+        assert getattr(pointprocess._this_thread, "drawing", False) == before
+
     def test_one_draw_left_stays_in_process(self, cpus):
         # A single replication per batch runs on the calling thread.
         cpus(2)
