@@ -83,13 +83,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="target 95%% CI half-width for auto reps; void-prob (at "
                              "every grid ratio, on shared replications) and cell-pmf (on "
                              "its n = 0 bin) add reps until it is met (default 0.005); "
-                             "coverage, remark2, bounds-check and conservation-check run "
-                             "a fixed count and ignore it")
+                             "like any option, it draws a warning where the experiment "
+                             "does not read it and it is set away from its default")
     parser.add_argument("--mark-law", dest="mark_law",
                         help="conservation-check marks: deterministic:T | lognormal:MU,S2 | channel")
-    parser.add_argument("--grid", type=int, help="quadrat grid for CSR tests (default 5)")
+    parser.add_argument("--grid", type=int,
+                        help="quadrat grid of the CSR tests, read by conservation-check "
+                             "(default 5)")
     parser.add_argument("--n-envelope", type=int, dest="n_envelope",
-                        help="envelope simulations for remark2 (default 99)")
+                        help="envelope simulations, read by remark2 (default 99)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -108,8 +110,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     values: dict = {}
     if args.config:
-        with open(args.config) as fh:
-            values.update(json.load(fh))
+        try:
+            with open(args.config) as fh:
+                values = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError([f"config file {args.config!r} must be readable JSON: {exc}"])
+        if not isinstance(values, dict):
+            raise ConfigError([f"config file {args.config!r} must be a JSON object, "
+                               f"got {type(values).__name__}"])
     for f in fields(ExperimentConfig):
         value = getattr(args, f.name, None)
         if value is not None:

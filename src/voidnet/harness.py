@@ -4,6 +4,12 @@ Each experiment produces a tidy row set plus a metadata block echoing the
 complete configuration, so any result file can be re-run exactly.  Output
 is deterministic for a fixed (config, seed): wall time is printed to the
 console, never written into result files.
+
+Each experiment is declared once, in ``_EXPERIMENTS``: its body, the
+config fields it reads, its replications when ``reps`` is not given and
+its default ratio grid.  Dispatch, :meth:`ExperimentConfig.ratios` and
+:func:`validate` (its method floors and its ignored-field warning) all
+read that table.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import math
 import time
 import types
 import typing
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -73,12 +79,6 @@ MAX_WINDOW_POINTS = 1_000_000
 # Fewest stations (remark2: non-void ones) a replication's window may
 # expect.  A draw then holds none with probability e^-40 ~ 4e-18.
 MIN_WINDOW_STATIONS = 40.0
-
-# Experiments that draw every replication on the window of _grid_window.
-_GRID_EXPERIMENTS = ("void-prob", "cell-pmf", "coverage", "remark2")
-
-# Replications of each experiment that runs a fixed count (no half-width target).
-_FIXED_REPS = {"coverage": 400, "remark2": 40, "bounds-check": 24, "conservation-check": 200}
 
 # bounds-check draws each set's user/station ratio uniformly from this range.
 BOUNDS_CHECK_RATIOS = (0.3, 6.0)
@@ -186,12 +186,22 @@ class ExperimentConfig:
     def weight_law(self) -> WeightLaw:
         return parse_weight_law(self.law)
 
-    def ratios(self) -> tuple[float, ...]:
+    def ratios(self) -> tuple[float, ...] | None:
+        """User/station ratios: ``ratio_grid``, else lambda_u / lambda_b, else
+        the experiment's default grid (None for one that reads no ratio).
+
+        The ratio may be specified exactly one way.  A ratio not finite and
+        > 0 raises the ValueError of :func:`voidnet.association.grid_ratios`.
+        """
+        if self.ratio_grid is not None and self.lambda_b is not None:
+            raise ConfigError(["specify the ratio exactly one way (ratio-grid or lambda-b)"])
         if self.ratio_grid is not None:
-            return tuple(float(r) for r in self.ratio_grid)
-        if self.lambda_b is not None:
-            return (self.lambda_u / self.lambda_b,)
-        return COVERAGE_RATIO_GRID if self.experiment == "coverage" else DEFAULT_RATIO_GRID
+            ratios = self.ratio_grid
+        elif self.lambda_b is not None:
+            ratios = (self.lambda_u / self.lambda_b,)
+        else:
+            ratios = _EXPERIMENTS[self.experiment].grid
+        return None if ratios is None else tuple(grid_ratios(ratios))
 
     def window_for(self, lambda_b: float, lambda_u: float) -> SimulationWindow:
         if self.side == "auto":
@@ -334,16 +344,21 @@ def validate(config: ExperimentConfig) -> list[str]:
     Builds what the run builds (channel, weight law, mark law, ratio grid)
     and reports each constructor's error, so no check a constructor makes
     is restated here.  Fields no object owns must be finite and > 0.
-    Every window a run draws, and no other, is judged on its expected
-    counts (:func:`_window_counts`): too few to draw from or more than
-    ``MAX_WINDOW_POINTS`` is fatal, below the advisory floor a warning.
-    Diagnostics prefixed ``warning:`` are advisory cross-field checks, made
-    only for a config with no other diagnostic; anything else blocks
-    :func:`run` with a nonzero exit.
+    These domain checks hold for every experiment; a method floor
+    (``grid``, ``n_envelope``) only for one whose ``_EXPERIMENTS`` entry
+    reads its field.  Every window a run draws, and no other, is judged on
+    its expected counts (:func:`_window_counts`): too few to draw from or
+    more than ``MAX_WINDOW_POINTS`` is fatal, below the advisory floor a
+    warning.  A field the experiment does not read, set away from its
+    default, draws ``warning: <experiment> ignores <field> <value>``.
+    Diagnostics prefixed ``warning:`` are advisory, made only for a config
+    with no other diagnostic; anything else blocks :func:`run` with a
+    nonzero exit.
     """
+    spec = _EXPERIMENTS.get(config.experiment)
+    if spec is None:
+        return [f"unknown experiment {config.experiment!r}"]
     diags: list[str] = []
-    if config.experiment not in EXPERIMENTS:
-        diags.append(f"unknown experiment {config.experiment!r}")
     bad = set()
     for name, label in _POSITIVE_FIELDS.items():
         value = getattr(config, name)
@@ -362,9 +377,9 @@ def validate(config: ExperimentConfig) -> list[str]:
         diags.append("sets must be >= 1")
     if config.seed < 0:
         diags.append("seed must be >= 0")
-    if config.grid < MIN_QUADRAT_GRID:
+    if "grid" in spec.reads and config.grid < MIN_QUADRAT_GRID:
         diags.append(f"quadrat grid must be >= {MIN_QUADRAT_GRID}")
-    if config.n_envelope < MIN_ENVELOPE:
+    if "n_envelope" in spec.reads and config.n_envelope < MIN_ENVELOPE:
         diags.append(f"n_envelope must be >= {MIN_ENVELOPE} for a 95% envelope")
     cp = _built(config.channel_params, diags)
     law = _built(config.weight_law, diags)
@@ -374,10 +389,10 @@ def validate(config: ExperimentConfig) -> list[str]:
     # Without a grid the ratio is lambda_u / lambda_b, so it waits for both.
     ratios = None
     if config.ratio_grid is not None or not bad & {"lambda_u", "lambda_b"}:
-        ratios = _built(lambda: grid_ratios(config.ratios()), diags)
-    if config.experiment in ("cell-pmf", "remark2") and len(ratios or ()) > 1:
+        ratios = _built(config.ratios, diags)
+    if spec.one_ratio and len(ratios or ()) > 1:
         diags.append(f"{config.experiment} runs one ratio (a one-entry ratio grid, or lambda_b), "
-                     f"got the grid {ratios}")
+                     f"got the grid {list(ratios)}")
     if diags:
         return diags
     zd = zeta_dagger(cp, law)
@@ -398,16 +413,16 @@ def validate(config: ExperimentConfig) -> list[str]:
         )
     diags += [f"warning: {what}: expected counts below {advised:g} ({expected:.3g})"
               for what, expected, _, advised, _ in counts if expected < advised]
-    if config.experiment in ("void-prob", "cell-pmf") and config.reps is not None:
+    if spec.reps is None and config.reps is not None:
         needed = _first_batch(config, zd, *_grid_window(config, ratios))
         if config.reps < needed:
             diags.append(
                 f"warning: reps={config.reps} too small for half-width {config.half_width}; "
                 f"suggest reps >= {needed}"
             )
-    if config.experiment in _FIXED_REPS and config.half_width != ExperimentConfig.half_width:
-        diags.append(f"warning: {config.experiment} ignores half-width {config.half_width}: "
-                     "it runs a fixed replication count, set by --reps")
+    diags += [f"warning: {config.experiment} ignores {f.name} {getattr(config, f.name)}"
+              for f in fields(ExperimentConfig)
+              if f.name not in spec.reads and getattr(config, f.name) != f.default]
     return diags
 
 
@@ -452,6 +467,8 @@ def _window_counts(config: ExperimentConfig, ratios, zd: float, marks) -> list[t
     bounds-check's windows are bounded by those at the ends of
     ``BOUNDS_CHECK_RATIOS``.  conservation-check needs ten mapped points
     per quadrat, twice what :func:`voidnet.pointprocess.csr_test` asks.
+    Any other experiment that reads ``side`` draws the one window of
+    :func:`_grid_window`; one that does not draws none.
     """
     if config.experiment == "conservation-check":
         lambda_b, mapped, target, source, _ = _conservation_windows(config, *marks)
@@ -463,7 +480,7 @@ def _window_counts(config: ExperimentConfig, ratios, zd: float, marks) -> list[t
         ]
     if config.experiment == "bounds-check":
         drawn = BOUNDS_CHECK_RATIOS
-    elif config.experiment in _GRID_EXPERIMENTS:
+    elif "side" in _EXPERIMENTS[config.experiment].reads:
         drawn = (max(ratios),)
     else:
         return []
@@ -555,7 +572,7 @@ def _cell_pmf_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
 
 def _bounds_check_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
     rng = rep_rng(config.seed, 2**32)
-    inner_reps = config.reps or _FIXED_REPS["bounds-check"]
+    inner_reps = config.reps or _EXPERIMENTS["bounds-check"].reps
     rows = []
     violations = 0
     for s in range(config.sets):
@@ -627,7 +644,7 @@ def _conservation_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
     cp = config.channel_params()
     law = config.weight_law()
     sampler, mean_inv_sq = parse_mark_law(config.mark_law, cp, law)
-    suites = config.reps or _FIXED_REPS["conservation-check"]
+    suites = config.reps or _EXPERIMENTS["conservation-check"].reps
     lambda_b, mapped_intensity_value, target, source, expansion = _conservation_windows(
         config, sampler, mean_inv_sq)
 
@@ -669,7 +686,7 @@ def _remark2_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
     law = config.weight_law()
     ratio, window = _grid_window(config, config.ratios())
     lambda_b = config.lambda_u / ratio
-    reps = config.reps or _FIXED_REPS["remark2"]
+    reps = config.reps or _EXPERIMENTS["remark2"].reps
     report = remark2_test(
         lambda_b, config.lambda_u, cp, law, reps, window, config.seed,
         n_envelope=config.n_envelope,
@@ -704,7 +721,7 @@ def _coverage_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
     cp = config.channel_params()
     law = config.weight_law()
     models = MODELS if config.model is None else (config.model,)
-    reps = config.reps or _FIXED_REPS["coverage"]
+    reps = config.reps or _EXPERIMENTS["coverage"].reps
     ratios = config.ratios()
     r_top, window = _grid_window(config, ratios)
     rows = coverage_sweep(ratios, config.lambda_u, cp, law, config.beta, reps, window, config.seed)
@@ -739,17 +756,51 @@ def _formulas_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
     return rows, {"zeta_dagger": zd, "rho": rho}
 
 
-_BODIES = {
-    "void-prob": _void_prob_rows,
-    "cell-pmf": _cell_pmf_rows,
-    "bounds-check": _bounds_check_rows,
-    "conservation-check": _conservation_rows,
-    "remark2": _remark2_rows,
-    "coverage": _coverage_rows,
-    "formulas": _formulas_rows,
+class _Experiment(typing.NamedTuple):
+    """What one experiment runs and which config fields it reads."""
+
+    body: typing.Callable[[ExperimentConfig], tuple[list[dict], dict]]
+    reads: frozenset[str]
+    # Replications when reps is not given: None runs to half_width, 0 draws none.
+    reps: int | None
+    one_ratio: bool = False
+    # The ratios when neither ratio_grid nor lambda_b is given.
+    grid: tuple[float, ...] | None = None
+
+
+# Fields every run reads: the experiment, its output and the shadowing
+# that _metadata resolves.
+_READ_BY_ALL = frozenset("experiment out fmt sigma2_ln sigma_db sigma2_db".split())
+
+
+def _reads(names: str) -> frozenset[str]:
+    return _READ_BY_ALL | frozenset(names.split())
+
+
+_CHANNEL = "alpha m mu law"
+_RATIO = "lambda_u lambda_b ratio_grid"
+
+_EXPERIMENTS = {
+    "void-prob": _Experiment(
+        _void_prob_rows, _reads(f"{_RATIO} {_CHANNEL} reps half_width side seed"), None,
+        grid=DEFAULT_RATIO_GRID),
+    "cell-pmf": _Experiment(
+        _cell_pmf_rows, _reads(f"{_RATIO} {_CHANNEL} reps half_width side seed"), None,
+        one_ratio=True, grid=DEFAULT_RATIO_GRID),
+    "bounds-check": _Experiment(_bounds_check_rows, _reads("lambda_u reps sets side seed"), 24),
+    "conservation-check": _Experiment(
+        _conservation_rows, _reads(f"lambda_b {_CHANNEL} mark_law reps grid side seed"), 200),
+    "remark2": _Experiment(
+        _remark2_rows, _reads(f"{_RATIO} {_CHANNEL} reps n_envelope side seed"), 40,
+        one_ratio=True, grid=DEFAULT_RATIO_GRID),
+    "coverage": _Experiment(
+        _coverage_rows, _reads(f"{_RATIO} {_CHANNEL} beta model reps side seed"), 400,
+        grid=COVERAGE_RATIO_GRID),
+    "formulas": _Experiment(_formulas_rows, _reads(f"{_RATIO} {_CHANNEL}"), 0,
+                            grid=DEFAULT_RATIO_GRID),
 }
 
-EXPERIMENTS = tuple(_BODIES)
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 # ---------------------------------------------------------------------------
@@ -808,7 +859,7 @@ def run(config: ExperimentConfig) -> Path:
         print(d)
 
     started = time.perf_counter()
-    rows, extra = _BODIES[config.experiment](config)
+    rows, extra = _EXPERIMENTS[config.experiment].body(config)
     elapsed = time.perf_counter() - started
 
     out = Path(config.out) if config.out else Path(f"{config.experiment}.{config.fmt}")

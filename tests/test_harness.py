@@ -9,9 +9,10 @@ import warnings
 import numpy as np
 import pytest
 
+import voidnet.cli
 from voidnet import harness
 from voidnet.analytics import EstimateWithCI
-from voidnet.cli import _build_parser, main as cli_main
+from voidnet.cli import _build_parser, _config_from_args, main as cli_main
 from voidnet.harness import (
     ConfigError,
     ExperimentConfig,
@@ -27,6 +28,18 @@ from voidnet.harness import (
 
 def fatal(diags):
     return [d for d in diags if not d.startswith("warning:")]
+
+
+FIELDS = frozenset(f.name for f in dataclasses.fields(ExperimentConfig))
+
+
+class ReadSpy(ExperimentConfig):
+    """An ExperimentConfig that records which of its fields are read."""
+
+    def __getattribute__(self, name):
+        if name in FIELDS:
+            object.__getattribute__(self, "__dict__").setdefault("_read", set()).add(name)
+        return super().__getattribute__(name)
 
 
 def _float_field_cases():
@@ -68,11 +81,12 @@ class TestValidate:
     @pytest.mark.parametrize("experiment",
                              ["coverage", "remark2", "bounds-check", "conservation-check"])
     def test_fixed_count_experiments_warn_half_width_ignored(self, experiment):
-        cfg = dict(experiment=experiment, ratio_grid=(2.0,), reps=3)
+        # bounds-check and conservation-check read no ratio grid either
+        grid = {"coverage": (2.0,), "remark2": (2.0,)}.get(experiment)
+        cfg = dict(experiment=experiment, ratio_grid=grid, reps=3)
         assert validate(ExperimentConfig(**cfg)) == []  # the default half-width says nothing
-        [warning] = validate(ExperimentConfig(half_width=0.01, **cfg))
-        assert warning.startswith("warning:")
-        assert "ignores half-width 0.01" in warning and "--reps" in warning
+        assert validate(ExperimentConfig(half_width=0.01, **cfg)) == [
+            f"warning: {experiment} ignores half_width 0.01"]
 
     def test_undersized_window(self):
         cfg = ExperimentConfig(experiment="void-prob", ratio_grid=(2.0,), side=0.5)
@@ -84,7 +98,9 @@ class TestValidate:
         dict(experiment="bounds-check", side=3.0, reps=2),  # 555 stations at ratio 6
     ])
     def test_only_drawn_windows_are_judged(self, cfg):
-        assert validate(ExperimentConfig(**cfg)) == []
+        # formulas reads no side: its side is an ignored field, not a window
+        expected = ["warning: formulas ignores side 1.0"] if cfg["experiment"] == "formulas" else []
+        assert validate(ExperimentConfig(**cfg)) == expected
 
     def test_bounds_check_judged_at_its_own_top_ratio(self):
         [warning] = validate(ExperimentConfig(experiment="bounds-check", side=2.0, reps=2))
@@ -280,6 +296,37 @@ class TestRunExperiments:
         first = out.read_bytes()
         run(cfg)
         assert out.read_bytes() == first
+
+    # The tiny configs of test_repeat_runs_identical, an auto-rep case per
+    # experiment that runs to a half-width, and a lambda_b case per
+    # experiment that reads the ratio.
+    SPIED = {
+        "void-prob": [dict(ratio_grid=(2.0,), reps=4, half_width=0.05),
+                      dict(ratio_grid=(2.0,), half_width=0.05), dict(lambda_b=185.0, reps=2)],
+        "cell-pmf": [dict(ratio_grid=(1.0,), reps=3), dict(ratio_grid=(1.0,), half_width=0.05),
+                     dict(lambda_b=370.0, reps=2)],
+        "bounds-check": [dict(sets=2, reps=2)],
+        "conservation-check": [dict(lambda_b=100.0, reps=5, mark_law="channel",
+                                    law="lognormal:0,1")],
+        "remark2": [dict(ratio_grid=(0.5,), reps=2, n_envelope=39),
+                    dict(lambda_b=740.0, reps=2, n_envelope=39)],
+        "coverage": [dict(ratio_grid=(2.0,), reps=5), dict(lambda_b=185.0, reps=5)],
+        "formulas": [dict(ratio_grid=(0.5, 2.0)), dict(lambda_b=185.0)],
+    }
+
+    @pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
+    def test_each_body_reads_exactly_its_declared_fields(self, experiment):
+        spec = harness._EXPERIMENTS[experiment]
+        union = set(harness._READ_BY_ALL)
+        for extra in self.SPIED[experiment]:
+            config = ReadSpy(experiment=experiment, seed=9, **extra)
+            assert fatal(validate(config)) == []
+            object.__getattribute__(config, "__dict__").pop("_read", None)
+            spec.body(config)
+            read = object.__getattribute__(config, "__dict__")["_read"]
+            assert read <= spec.reads, f"{extra}: undeclared {sorted(read - spec.reads)}"
+            union |= read
+        assert union == spec.reads, f"declared, never read: {sorted(spec.reads - union)}"
 
     def test_void_prob_passes_half_width_for_auto_reps(self, tmp_path, monkeypatch):
         calls = []
@@ -714,6 +761,8 @@ class TestCli:
         ["conservation-check", "--reps", "2", "--mark-law", "lognormal:0,50"],
         ["conservation-check", "--reps", "2", "--side", "0.05"],
         ["conservation-check", "--reps", "2", "--mark-law", "lognormal:0,1000"],
+        ["void-prob", "--lambda-b", "100", "--ratio-grid", "2", "--reps", "2"],
+        ["conservation-check", "--grid", "1"],
     ], ids=["remark2-n-envelope", "conservation-mark-law", "formulas-zero-ratio",
             "void-prob-negative-ratio", "void-prob-zero-half-width",
             "void-prob-negative-half-width", "void-prob-nan-half-width",
@@ -724,22 +773,44 @@ class TestCli:
             "void-prob-window-without-stations", "cell-pmf-window-without-stations",
             "bounds-check-window-without-stations", "remark2-window-without-stations",
             "coverage-window-without-stations", "conservation-source-too-large",
-            "conservation-target-too-small", "conservation-mark-moment-overflow"])
+            "conservation-target-too-small", "conservation-mark-moment-overflow",
+            "void-prob-ratio-two-ways", "conservation-grid"])
     def test_config_errors_exit_two(self, argv, tmp_path, capsys):
         assert cli_main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
         assert "config error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["validate", "void-prob"])
-    @pytest.mark.parametrize("values", [{"half_width": "0.01", "reps": 4}, {"reps": "4"}],
-                             ids=["string-half-width", "string-reps"])
-    def test_mistyped_config_file_exits_two(self, command, values, tmp_path, capsys):
+    @pytest.mark.parametrize("text", [json.dumps({"half_width": "0.01", "reps": 4}),
+                                      json.dumps({"reps": "4"}), None, "", "[1, 2]"],
+                             ids=["string-half-width", "string-reps", "missing-file",
+                                  "malformed-json", "non-object"])
+    def test_mistyped_config_file_exits_two(self, command, text, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps(values))
+        if text is not None:
+            cfg_file.write_text(text)
         assert cli_main([command, "--config", str(cfg_file),
                          "--out", str(tmp_path / "x.csv")]) == 2
         err = capsys.readouterr().err
         assert err.count("config error:") == 1
         assert "must be" in err
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["validate", "--n-envelope", "10", "--ratio-grid", "2"],
+         ["warning: void-prob ignores n_envelope 10"]),
+        (["validate", "--model", "void-aware", "--beta", "3", "--ratio-grid", "2"],
+         ["warning: void-prob ignores beta 3.0", "warning: void-prob ignores model void-aware"]),
+    ], ids=["n-envelope", "model-beta"])
+    def test_validate_warns_of_ignored_fields(self, argv, expected, capsys):
+        assert cli_main(argv) == 0
+        assert capsys.readouterr().out.splitlines() == expected
+
+    def test_docstring_examples_validate(self):
+        examples = [line.split()[1:] for line in voidnet.cli.__doc__.splitlines()
+                    if line.startswith("voidnet ")]
+        assert len(examples) == 4
+        for argv in examples:
+            config = _config_from_args(_build_parser().parse_args(argv))
+            assert fatal(validate(config)) == [], argv
 
     @pytest.mark.parametrize("command", ["validate", "void-prob"])
     def test_unparsable_side_exits_two(self, command, capsys):
