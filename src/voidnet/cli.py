@@ -39,7 +39,9 @@ def _side(text: str) -> float | str:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat JSON config file; flags override its values")
-    parser.add_argument("--lambda-b", type=float, dest="lambda_b", help="stations per km^2")
+    parser.add_argument("--lambda-b", type=float, dest="lambda_b",
+                        help="stations per km^2; the ratio is then lambda_u / lambda_b, "
+                             "so it may not be combined with --ratio-grid")
     parser.add_argument("--lambda-u", type=float, dest="lambda_u", help="users per km^2, > 0 (default 370)")
     parser.add_argument(
         "--ratio-grid",
