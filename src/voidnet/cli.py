@@ -70,7 +70,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", help=f"coverage interference model: {' | '.join(MODELS)}; "
                                          "every model is drawn on each replication, and this "
                                          "keeps that model's rows (default: all three)")
-    parser.add_argument("--reps", type=int, help="replications / suites (default: auto)")
+    parser.add_argument("--reps", type=int,
+                        help="replications / suites, run once; this turns the half-width "
+                             "rule off (default: the experiment's own count, or auto)")
     parser.add_argument("--sets", type=int, help="parameter sets for bounds-check (default 50)")
     parser.add_argument("--side", type=_side,
                         help="window side in km, or 'auto' (at least 500 expected stations "
@@ -85,8 +87,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="target 95%% CI half-width for auto reps; void-prob (at "
                              "every grid ratio, on shared replications) and cell-pmf (on "
                              "its n = 0 bin) add reps until it is met (default 0.005); "
-                             "like any option, it draws a warning where the experiment "
-                             "does not read it and it is set away from its default")
+                             "ignored where --reps is given, and like any ignored option "
+                             "set away from its default it draws a warning")
     parser.add_argument("--mark-law", dest="mark_law",
                         help="conservation-check marks: deterministic:T | lognormal:MU,S2 | channel")
     parser.add_argument("--grid", type=int,

@@ -349,11 +349,12 @@ def validate(config: ExperimentConfig) -> list[str]:
     reads its field.  Every window a run draws, and no other, is judged on
     its expected counts (:func:`_window_counts`): too few to draw from or
     more than ``MAX_WINDOW_POINTS`` is fatal, below the advisory floor a
-    warning.  A field the experiment does not read, set away from its
-    default, draws ``warning: <experiment> ignores <field> <value>``.
-    Diagnostics prefixed ``warning:`` are advisory, made only for a config
-    with no other diagnostic; anything else blocks :func:`run` with a
-    nonzero exit.
+    warning.  A field the run does not read (``half_width`` once ``reps``
+    is given: :func:`_replications`), set away from its default, draws
+    ``warning: <experiment> ignores <field> <value>``; a divergent
+    zeta-dagger warns where the entry reads the channel.  Diagnostics
+    prefixed ``warning:`` are advisory, made only for a config with no
+    other diagnostic; anything else blocks :func:`run` with a nonzero exit.
     """
     spec = _EXPERIMENTS.get(config.experiment)
     if spec is None:
@@ -405,7 +406,7 @@ def validate(config: ExperimentConfig) -> list[str]:
     if diags:
         return diags
 
-    if math.isinf(zd):
+    if math.isinf(zd) and _reads(_CHANNEL) <= spec.reads:
         diags.append(
             f"warning: zeta-dagger divergent (m <= 2/alpha, or moments past the float range): "
             f"m = {config.m}, 2/alpha = {2.0 / config.alpha:.4f}; "
@@ -413,16 +414,10 @@ def validate(config: ExperimentConfig) -> list[str]:
         )
     diags += [f"warning: {what}: expected counts below {advised:g} ({expected:.3g})"
               for what, expected, _, advised, _ in counts if expected < advised]
-    if spec.reps is None and config.reps is not None:
-        needed = _first_batch(config, zd, *_grid_window(config, ratios))
-        if config.reps < needed:
-            diags.append(
-                f"warning: reps={config.reps} too small for half-width {config.half_width}; "
-                f"suggest reps >= {needed}"
-            )
+    reads = spec.reads - {"half_width"} if config.reps is not None else spec.reads
     diags += [f"warning: {config.experiment} ignores {f.name} {getattr(config, f.name)}"
               for f in fields(ExperimentConfig)
-              if f.name not in spec.reads and getattr(config, f.name) != f.default]
+              if f.name not in reads and getattr(config, f.name) != f.default]
     return diags
 
 
@@ -444,19 +439,25 @@ def _grid_window(config: ExperimentConfig, ratios) -> tuple[float, SimulationWin
 
 def _void_guess(config: ExperimentConfig, zd: float, ratio: float) -> float:
     """Gamma-area void probability at ``ratio``, with shape rho = 3.5 *
-    zeta-dagger (3.5 where that is not finite)."""
-    rho = VORONOI_SHAPE * zd
-    return void_prob_rca(config.lambda_u, config.lambda_u / ratio,
-                         rho if math.isfinite(rho) else VORONOI_SHAPE)
+    zeta-dagger (the Jensen floor where that is not finite, as in the closed-form columns)."""
+    return void_prob_rca(config.lambda_u, config.lambda_u / ratio, VORONOI_SHAPE * zd)
 
 
-def _first_batch(config: ExperimentConfig, zd: float, r_top: float, window: SimulationWindow) -> int:
-    """Replications in the first batch of an auto-rep void-prob or cell-pmf run.
+def _replications(config: ExperimentConfig, zd=None, r_top=None,
+                  window=None) -> tuple[int, float | None]:
+    """(batch, target half-width) of a run; target None runs the batch once.
 
-    :func:`suggested_reps` on the :func:`_void_guess` at r_top.
+    ``reps`` when given, else the ``_EXPERIMENTS`` count, runs once.  An
+    entry without a count adds batches of :func:`suggested_reps` on the
+    :func:`_void_guess` at r_top until ``half_width`` is met; only this
+    case reads ``zd``, ``r_top`` and the grid's ``window``.
     """
+    fixed = config.reps or _EXPERIMENTS[config.experiment].reps
+    if fixed is not None:
+        return fixed, None
     stations = config.lambda_u / r_top * window.sampling_area()
-    return suggested_reps(_void_guess(config, zd, r_top), stations, config.half_width)
+    target = config.half_width
+    return suggested_reps(_void_guess(config, zd, r_top), stations, target), target
 
 
 def _window_counts(config: ExperimentConfig, ratios, zd: float, marks) -> list[tuple]:
@@ -508,10 +509,7 @@ def _void_prob_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
     rho = VORONOI_SHAPE * zd
     ratios = config.ratios()
     r_top, window = _grid_window(config, ratios)
-    if config.reps:
-        reps, target = config.reps, None
-    else:
-        reps, target = _first_batch(config, zd, r_top, window), config.half_width
+    reps, target = _replications(config, zd, r_top, window)
     estimates = void_probability_sweep(
         ratios, config.lambda_u, cp, law, reps, window, config.seed, half_width=target
     )
@@ -549,12 +547,10 @@ def _cell_pmf_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
     law = config.weight_law()
     ratio, window = _grid_window(config, config.ratios())
     lambda_b = config.lambda_u / ratio
-    # Sized like void-prob's first batch, so the n = 0 bin is its estimate.
-    reps = config.reps or _first_batch(config, zeta_dagger(cp, law), ratio, window)
+    # Sized like void-prob's, so the n = 0 bin is its estimate.
+    reps, target = _replications(config, zeta_dagger(cp, law), ratio, window)
     bins, mean = cell_count_pmf_mc(
-        lambda_b, config.lambda_u, cp, law, reps, window, config.seed,
-        half_width=None if config.reps else config.half_width,
-    )
+        lambda_b, config.lambda_u, cp, law, reps, window, config.seed, half_width=target)
     rows = [
         {
             "n_users": n,
@@ -566,13 +562,13 @@ def _cell_pmf_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
         for n, est in enumerate(bins)
     ]
     meta = {"ratio": ratio, "lambda_b": lambda_b, "mean_users_per_cell": mean,
-            "reps": bins[0].reps, "side": window.side}
+            "reps": bins[0].reps, "batches": bins[0].reps // reps, "side": window.side}
     return rows, meta
 
 
 def _bounds_check_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
     rng = rep_rng(config.seed, 2**32)
-    inner_reps = config.reps or _EXPERIMENTS["bounds-check"].reps
+    inner_reps, _ = _replications(config)
     rows = []
     violations = 0
     for s in range(config.sets):
@@ -644,7 +640,7 @@ def _conservation_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
     cp = config.channel_params()
     law = config.weight_law()
     sampler, mean_inv_sq = parse_mark_law(config.mark_law, cp, law)
-    suites = config.reps or _EXPERIMENTS["conservation-check"].reps
+    suites, _ = _replications(config)
     lambda_b, mapped_intensity_value, target, source, expansion = _conservation_windows(
         config, sampler, mean_inv_sq)
 
@@ -686,7 +682,7 @@ def _remark2_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
     law = config.weight_law()
     ratio, window = _grid_window(config, config.ratios())
     lambda_b = config.lambda_u / ratio
-    reps = config.reps or _EXPERIMENTS["remark2"].reps
+    reps, _ = _replications(config)
     report = remark2_test(
         lambda_b, config.lambda_u, cp, law, reps, window, config.seed,
         n_envelope=config.n_envelope,
@@ -721,7 +717,7 @@ def _coverage_rows(config: ExperimentConfig) -> tuple[list[dict], dict]:
     cp = config.channel_params()
     law = config.weight_law()
     models = MODELS if config.model is None else (config.model,)
-    reps = config.reps or _EXPERIMENTS["coverage"].reps
+    reps, _ = _replications(config)
     ratios = config.ratios()
     r_top, window = _grid_window(config, ratios)
     rows = coverage_sweep(ratios, config.lambda_u, cp, law, config.beta, reps, window, config.seed)

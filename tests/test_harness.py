@@ -11,7 +11,8 @@ import pytest
 
 import voidnet.cli
 from voidnet import harness
-from voidnet.analytics import EstimateWithCI
+from voidnet.analytics import EstimateWithCI, void_prob_rca
+from voidnet.channel import zeta_dagger
 from voidnet.cli import _build_parser, _config_from_args, main as cli_main
 from voidnet.harness import (
     ConfigError,
@@ -72,17 +73,21 @@ class TestValidate:
         cfg = ExperimentConfig(experiment="void-prob", lambda_b=0.0)
         assert any("no base stations" in d for d in fatal(validate(cfg)))
 
-    def test_reps_suggestion(self):
-        cfg = ExperimentConfig(experiment="void-prob", ratio_grid=(2.0,), reps=5)
-        diags = validate(cfg)
-        assert any("suggest reps >=" in d for d in diags)
-        assert fatal(diags) == []
+    def test_divergent_zeta_warns_only_where_the_channel_is_read(self):
+        divergent = dict(law="unit", m=0.4)
+        # bounds-check draws its own channel per set
+        assert validate(ExperimentConfig(experiment="bounds-check", **divergent)) == [
+            "warning: bounds-check ignores m 0.4", "warning: bounds-check ignores law unit"]
+        [diag] = validate(ExperimentConfig(experiment="void-prob", **divergent))
+        assert diag.startswith("warning: zeta-dagger divergent")
 
-    @pytest.mark.parametrize("experiment",
-                             ["coverage", "remark2", "bounds-check", "conservation-check"])
+    @pytest.mark.parametrize("experiment", ["void-prob", "cell-pmf", "coverage", "remark2",
+                                            "bounds-check", "conservation-check"])
     def test_fixed_count_experiments_warn_half_width_ignored(self, experiment):
-        # bounds-check and conservation-check read no ratio grid either
-        grid = {"coverage": (2.0,), "remark2": (2.0,)}.get(experiment)
+        # An explicit reps runs once, so no experiment reads half_width then
+        # and none suggests a count; bounds-check and conservation-check read
+        # no ratio grid either
+        grid = None if experiment in ("bounds-check", "conservation-check") else (2.0,)
         cfg = dict(experiment=experiment, ratio_grid=grid, reps=3)
         assert validate(ExperimentConfig(**cfg)) == []  # the default half-width says nothing
         assert validate(ExperimentConfig(half_width=0.01, **cfg)) == [
@@ -535,34 +540,49 @@ class TestRunExperiments:
         assert (meta["result.r_top"], meta["result.reps"], meta["result.batches"]) == (4.0, 5, 1)
         assert meta["result.side_top"] == auto_side(370.0 / 4.0, 370.0)
 
-    def test_first_batch_matches_validate_suggestion(self, tmp_path, monkeypatch):
-        # validate's reps warning and the auto-rep run size the first batch alike.
+    # A law under 8 dB shadowing, and a divergent zeta-dagger, whose guess is
+    # the Jensen floor exp(-ratio) of the p_void_rca_formula column.
+    FIRST_BATCH_LAWS = {"unit-8db": dict(law="unit", sigma_db=8.0),
+                        "unit-divergent": dict(law="unit", m=0.4)}
+
+    @staticmethod
+    def _expected_batch(config, r_top):
+        """suggested_reps on the gamma-area void guess at r_top, in its auto window."""
+        zd = zeta_dagger(config.channel_params(), config.weight_law())
+        lambda_b = config.lambda_u / r_top
+        area = auto_window(lambda_b, config.lambda_u).sampling_area()
+        guess = void_prob_rca(config.lambda_u, lambda_b, 3.5 * zd)
+        return suggested_reps(guess, lambda_b * area, config.half_width)
+
+    @pytest.mark.parametrize("law", FIRST_BATCH_LAWS)
+    def test_first_batch_is_suggested_reps_on_the_void_guess(self, law, tmp_path, monkeypatch):
         calls = []
 
         def fake_sweep(ratios, *args, half_width=None):
-            calls.append(args[3])
+            calls.append((args[3], half_width))
             return [EstimateWithCI(value=0.2, ci_low=0.19, ci_high=0.21, reps=args[3])
                     for _ in ratios]
 
         monkeypatch.setattr(harness, "void_probability_sweep", fake_sweep)
-        base = dict(experiment="void-prob", law="unit", sigma_db=8.0, ratio_grid=(0.5, 2.0))
-        [warning] = validate(ExperimentConfig(reps=1, **base))
-        run(ExperimentConfig(out=str(tmp_path / "a.csv"), **base))
-        assert calls == [int(warning.rsplit(">= ", 1)[1])]
+        config = ExperimentConfig(experiment="void-prob", ratio_grid=(0.5, 2.0),
+                                  out=str(tmp_path / "a.csv"), **self.FIRST_BATCH_LAWS[law])
+        run(config)
+        assert calls == [(self._expected_batch(config, 2.0), 0.005)]
 
-    def test_cell_pmf_first_batch_matches_validate_suggestion(self, tmp_path, monkeypatch):
-        # cell-pmf sizes its first batch like void-prob and warns alike.
+    @pytest.mark.parametrize("law", FIRST_BATCH_LAWS)
+    def test_cell_pmf_first_batch_is_suggested_reps_on_the_void_guess(self, law, tmp_path,
+                                                                       monkeypatch):
         calls = []
 
         def fake_mc(*args, half_width=None):
-            calls.append(args[4])
+            calls.append((args[4], half_width))
             return [EstimateWithCI(value=0.2, ci_low=0.19, ci_high=0.21, reps=args[4])], 2.0
 
         monkeypatch.setattr(harness, "cell_count_pmf_mc", fake_mc)
-        base = dict(experiment="cell-pmf", law="unit", sigma_db=8.0, ratio_grid=(2.0,))
-        [warning] = validate(ExperimentConfig(reps=1, **base))
-        run(ExperimentConfig(out=str(tmp_path / "a.csv"), **base))
-        assert calls == [int(warning.rsplit(">= ", 1)[1])]
+        config = ExperimentConfig(experiment="cell-pmf", ratio_grid=(2.0,),
+                                  out=str(tmp_path / "a.csv"), **self.FIRST_BATCH_LAWS[law])
+        run(config)
+        assert calls == [(self._expected_batch(config, 2.0), 0.005)]
 
     def test_cell_pmf_mean_and_reps_pinned(self, tmp_path):
         # The pinned rows leave out the mean users per cell, which the
@@ -604,6 +624,7 @@ class TestRunExperiments:
         assert calls == [(13, 0.005), (4, None)]  # a fixed rep count is run as given
         text = out.read_text()
         assert "# result.reps=26" in text  # the realized count, not the first batch
+        assert "# result.batches=2" in text
         lines = [l for l in text.splitlines() if not l.startswith("#")]
         row = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert (float(row["ci_high"]) - float(row["ci_low"])) / 2.0 <= 0.005

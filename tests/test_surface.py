@@ -7,9 +7,10 @@ caller in the package or the benchmark, every field of an exported
 dataclass must be read there outside its own class, the Monte-Carlo
 estimators must take ``(reps, window, seed)`` in that order, and
 importing the CLI must stay free of the process-pool machinery and of
-``scipy.stats``.
+``scipy.stats``, and every config field must have exactly one CLI flag.
 """
 
+import argparse
 import ast
 import dataclasses
 import importlib.util
@@ -25,6 +26,7 @@ import voidnet
 import voidnet.cli  # noqa: F401  (the tracer patches every loaded voidnet module)
 from voidnet.association import cell_count_pmf_mc, void_probability_mc, void_probability_sweep
 from voidnet.coverage import coverage_sweep, sir_samples
+from voidnet.harness import ExperimentConfig
 from voidnet.spatialstats import remark2_test
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -152,3 +154,14 @@ def test_cli_import_loads_no_pool():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          cwd=src, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_every_config_field_has_one_flag():
+    # The CLI reads each field as getattr(args, name, None), so a field
+    # without a flag could not be set from the command line and nothing
+    # would say so; two flags on one field would silently overwrite each other.
+    parser = argparse.ArgumentParser()
+    voidnet.cli._add_common(parser)
+    dests = [action.dest for action in parser._actions]
+    wanted = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "experiment"]
+    assert {name: dests.count(name) for name in wanted} == dict.fromkeys(wanted, 1)
